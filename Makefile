@@ -1,21 +1,17 @@
 GO ?= go
 
-# Minimum statement coverage for the model-fitting core.
-CORE_COVER_FLOOR ?= 85.0
-# Minimum statement coverage for the estimation service.
-SERVE_COVER_FLOOR ?= 80.0
-# Minimum statement coverage for the streaming pipeline.
-STREAM_COVER_FLOOR ?= 85.0
-# Minimum statement coverage for the cluster routing tier.
-CLUSTER_COVER_FLOOR ?= 85.0
-# Minimum statement coverage for the hierarchical roofline geometry and
-# its kernel roster.
-ROOFLINE_COVER_FLOOR ?= 85.0
-# Minimum statement coverage for the wait-for graph and the combined
-# on/off-CPU analysis built on it.
-WAITGRAPH_COVER_FLOOR ?= 85.0
+# Coverage gates, one row each: COVER_<gate> is "floor packages...", the
+# minimum statement coverage (%) over the listed packages together.
+# `make cover-<gate>` checks one row; `make cover` checks every row.
+COVER_core      ?= 85.0 ./internal/core/
+COVER_serve     ?= 80.0 ./internal/serve/
+COVER_stream    ?= 85.0 ./internal/stream/
+COVER_cluster   ?= 85.0 ./internal/cluster/
+COVER_roofline  ?= 85.0 ./internal/roofline/ ./internal/workloads/
+COVER_waitgraph ?= 85.0 ./internal/waitgraph/ ./internal/analysis/
+COVER_GATES := core serve stream cluster roofline waitgraph
 
-.PHONY: all build test vet lint race cover cover-serve cover-stream cover-cluster cover-roofline cover-waitgraph smoke fuzz fuzz-short chaos chaos-cluster bench-gate verify clean
+.PHONY: all build test vet lint race cover $(addprefix cover-,$(COVER_GATES)) smoke fuzz fuzz-short chaos chaos-cluster bench-gate verify clean
 
 # Pinned linter versions, fetched on demand with `go run`. In an offline
 # environment (no module proxy) lint degrades to a warning + skip, so the
@@ -65,55 +61,15 @@ race:
 cover/:
 	@mkdir -p cover
 
-# Coverage gate: internal/core must stay at or above CORE_COVER_FLOOR.
-cover: | cover/
-	$(GO) test -coverprofile=cover/coverage.out ./internal/core/
-	@pct=$$($(GO) tool cover -func=cover/coverage.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}'); \
-	echo "internal/core coverage: $$pct% (floor $(CORE_COVER_FLOOR)%)"; \
-	awk -v p="$$pct" -v f="$(CORE_COVER_FLOOR)" 'BEGIN { exit (p+0 >= f+0) ? 0 : 1 }' || \
-		{ echo "FAIL: internal/core coverage $$pct% is below the $(CORE_COVER_FLOOR)% floor"; exit 1; }
+cover: $(addprefix cover-,$(COVER_GATES))
 
-# Coverage gate for the serving tier.
-cover-serve: | cover/
-	$(GO) test -coverprofile=cover/coverage-serve.out ./internal/serve/
-	@pct=$$($(GO) tool cover -func=cover/coverage-serve.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}'); \
-	echo "internal/serve coverage: $$pct% (floor $(SERVE_COVER_FLOOR)%)"; \
-	awk -v p="$$pct" -v f="$(SERVE_COVER_FLOOR)" 'BEGIN { exit (p+0 >= f+0) ? 0 : 1 }' || \
-		{ echo "FAIL: internal/serve coverage $$pct% is below the $(SERVE_COVER_FLOOR)% floor"; exit 1; }
-
-# Coverage gate for the streaming tier.
-cover-stream: | cover/
-	$(GO) test -coverprofile=cover/coverage-stream.out ./internal/stream/
-	@pct=$$($(GO) tool cover -func=cover/coverage-stream.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}'); \
-	echo "internal/stream coverage: $$pct% (floor $(STREAM_COVER_FLOOR)%)"; \
-	awk -v p="$$pct" -v f="$(STREAM_COVER_FLOOR)" 'BEGIN { exit (p+0 >= f+0) ? 0 : 1 }' || \
-		{ echo "FAIL: internal/stream coverage $$pct% is below the $(STREAM_COVER_FLOOR)% floor"; exit 1; }
-
-# Coverage gate for the cluster routing tier.
-cover-cluster: | cover/
-	$(GO) test -coverprofile=cover/coverage-cluster.out ./internal/cluster/
-	@pct=$$($(GO) tool cover -func=cover/coverage-cluster.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}'); \
-	echo "internal/cluster coverage: $$pct% (floor $(CLUSTER_COVER_FLOOR)%)"; \
-	awk -v p="$$pct" -v f="$(CLUSTER_COVER_FLOOR)" 'BEGIN { exit (p+0 >= f+0) ? 0 : 1 }' || \
-		{ echo "FAIL: internal/cluster coverage $$pct% is below the $(CLUSTER_COVER_FLOOR)% floor"; exit 1; }
-
-# Coverage gate for the hierarchical roofline geometry and the workload
-# kernel roster that exercises it.
-cover-roofline: | cover/
-	$(GO) test -coverprofile=cover/coverage-roofline.out ./internal/roofline/ ./internal/workloads/
-	@pct=$$($(GO) tool cover -func=cover/coverage-roofline.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}'); \
-	echo "internal/roofline+workloads coverage: $$pct% (floor $(ROOFLINE_COVER_FLOOR)%)"; \
-	awk -v p="$$pct" -v f="$(ROOFLINE_COVER_FLOOR)" 'BEGIN { exit (p+0 >= f+0) ? 0 : 1 }' || \
-		{ echo "FAIL: internal/roofline+workloads coverage $$pct% is below the $(ROOFLINE_COVER_FLOOR)% floor"; exit 1; }
-
-# Coverage gate for the off-CPU analysis stack: the wait-for graph and
-# the combined partition/ranking layer on top of it.
-cover-waitgraph: | cover/
-	$(GO) test -coverprofile=cover/coverage-waitgraph.out ./internal/waitgraph/ ./internal/analysis/
-	@pct=$$($(GO) tool cover -func=cover/coverage-waitgraph.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}'); \
-	echo "internal/waitgraph+analysis coverage: $$pct% (floor $(WAITGRAPH_COVER_FLOOR)%)"; \
-	awk -v p="$$pct" -v f="$(WAITGRAPH_COVER_FLOOR)" 'BEGIN { exit (p+0 >= f+0) ? 0 : 1 }' || \
-		{ echo "FAIL: internal/waitgraph+analysis coverage $$pct% is below the $(WAITGRAPH_COVER_FLOOR)% floor"; exit 1; }
+$(addprefix cover-,$(COVER_GATES)): cover-%: | cover/
+	$(GO) test -coverprofile=cover/coverage-$*.out $(wordlist 2,$(words $(COVER_$*)),$(COVER_$*))
+	@pct=$$($(GO) tool cover -func=cover/coverage-$*.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}'); \
+	floor=$(firstword $(COVER_$*)); \
+	echo "cover-$*: $$pct% (floor $$floor%)"; \
+	awk -v p="$$pct" -v f="$$floor" 'BEGIN { exit (p+0 >= f+0) ? 0 : 1 }' || \
+		{ echo "FAIL: cover-$* coverage $$pct% is below the $$floor% floor"; exit 1; }
 
 # Black-box smoke: build the real binary, start `spire serve` (and a
 # router in front of a shard), hit /healthz and one estimate over HTTP,
@@ -174,7 +130,7 @@ bench-gate:
 # The full verification gate: build, static checks, tests, race tests,
 # the coverage floors, the serving smoke, the chaos soak, a short fuzz
 # smoke, and the benchmark regression gate.
-verify: build vet lint test race cover cover-serve cover-stream cover-cluster cover-roofline cover-waitgraph smoke chaos chaos-cluster fuzz-short bench-gate
+verify: build vet lint test race cover smoke chaos chaos-cluster fuzz-short bench-gate
 
 clean:
 	$(GO) clean ./...

@@ -453,7 +453,7 @@ func BenchmarkBatchEstimate(b *testing.B) {
 	ix := core.IndexWorkload(data)
 	ctx := context.Background()
 	var est core.Estimation
-	opts := core.EstimateOptions{Workers: 1}
+	opts := core.EstimateOptions{}
 	// Warm the reused Estimation's slice capacities once.
 	if err := ens.BatchEstimateInto(ctx, ix, opts, &est); err != nil {
 		b.Fatal(err)
@@ -476,30 +476,6 @@ func BenchmarkBatchEstimate(b *testing.B) {
 	naivePerOp := time.Since(naiveStart) / time.Duration(b.N)
 	if batchPerOp > 0 {
 		b.ReportMetric(float64(naivePerOp)/float64(batchPerOp), "speedup-vs-naive")
-	}
-}
-
-// BenchmarkBatchEstimateParallel is the same workload through the
-// concurrent per-metric path (Workers = GOMAXPROCS, fresh Estimation per
-// call) — the shape engine.EstimateIndexed drives.
-func BenchmarkBatchEstimateParallel(b *testing.B) {
-	s := benchSession(b)
-	ens, err := s.Ensemble()
-	if err != nil {
-		b.Fatal(err)
-	}
-	runs, err := s.TestRuns()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ix := core.IndexWorkload(runs[0].Data)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ens.BatchEstimate(ctx, ix, core.EstimateOptions{}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -527,8 +503,8 @@ func hierarchicalEnsemble(ens *core.Ensemble) *core.Ensemble {
 
 // BenchmarkHierarchicalEstimate is BenchmarkBatchEstimate's workload
 // through a model carrying the four-level hierarchy and both surfaces:
-// the same columnar steady state (caller-held index, reused Estimation,
-// Workers=1) plus the binding-level and surface evaluation on every op.
+// the same columnar steady state (caller-held index, reused Estimation)
+// plus the binding-level and surface evaluation on every op.
 // `make bench-gate` holds it to 0 allocs/op and within 20% of the flat
 // BENCH_core_columnar.json recording (see BENCH_hierarchy.json).
 func BenchmarkHierarchicalEstimate(b *testing.B) {
@@ -545,7 +521,7 @@ func BenchmarkHierarchicalEstimate(b *testing.B) {
 	ix := core.IndexWorkload(runs[0].Data)
 	ctx := context.Background()
 	var est core.Estimation
-	opts := core.EstimateOptions{Workers: 1}
+	opts := core.EstimateOptions{}
 	if err := hier.BatchEstimateInto(ctx, ix, opts, &est); err != nil {
 		b.Fatal(err)
 	}

@@ -2,7 +2,7 @@ package spire_test
 
 // The benchmark regression gate behind `make bench-gate`: re-measures
 // the columnar steady state (the timed region of BenchmarkBatchEstimate
-// — reused Estimation, caller-held index, Workers=1) and compares it
+// — reused Estimation, caller-held index) and compares it
 // against the recording in BENCH_core_columnar.json. Allocations are
 // compared exactly: the zero-allocation contract is binary, one alloc
 // per op is a regression however fast it runs. Time gets the recorded
@@ -58,7 +58,7 @@ func TestBenchGate(t *testing.T) {
 	}
 	ix := core.IndexWorkload(runs[0].Data)
 	ctx := context.Background()
-	opts := core.EstimateOptions{Workers: 1}
+	opts := core.EstimateOptions{}
 	var est core.Estimation
 	if err := ens.BatchEstimateInto(ctx, ix, opts, &est); err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestBenchGateHierarchy(t *testing.T) {
 	}
 	ix := core.IndexWorkload(runs[0].Data)
 	ctx := context.Background()
-	opts := core.EstimateOptions{Workers: 1}
+	opts := core.EstimateOptions{}
 	var est core.Estimation
 	if err := hier.BatchEstimateInto(ctx, ix, opts, &est); err != nil {
 		t.Fatal(err)

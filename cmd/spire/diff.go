@@ -47,7 +47,6 @@ func cmdDiff(args []string) error {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
 	modelPath := fs.String("model", "model.json", "trained model file")
 	top := fs.Int("top", 10, "number of ranked metrics to compare")
-	workers := fs.Int("workers", 0, "concurrent per-metric estimators (0 = GOMAXPROCS)")
 	jsonOut := fs.Bool("json", false, "print both estimations and the movement summary as compact JSON")
 	remote := fs.String("remote", "", "estimate via a running `spire serve` at this base URL instead of a local model")
 	tenant := fs.String("tenant", "", "tenant identity sent with -remote requests (X-Spire-Tenant)")
@@ -82,12 +81,12 @@ func cmdDiff(args []string) error {
 		if cerr != nil {
 			return cerr
 		}
-		estB, modelID, err = remoteEstimate(ctx, c, before, *workers, *wireFmt)
+		estB, modelID, err = remoteEstimate(ctx, c, before, *wireFmt)
 		if err != nil {
 			return fmt.Errorf("before: %w", err)
 		}
 		var idA string
-		estA, idA, err = remoteEstimate(ctx, c, after, *workers, *wireFmt)
+		estA, idA, err = remoteEstimate(ctx, c, after, *wireFmt)
 		if err != nil {
 			return fmt.Errorf("after: %w", err)
 		}
@@ -103,7 +102,7 @@ func cmdDiff(args []string) error {
 			modelID = id
 		}
 		eng := engine.Default()
-		opts := core.EstimateOptions{Workers: *workers}
+		opts := core.EstimateOptions{}
 		estB, err = eng.Estimate(ctx, ens, before, opts)
 		if err != nil {
 			return fmt.Errorf("before: %w", err)

@@ -382,7 +382,7 @@ func TestE2EDiff(t *testing.T) {
 		t.Fatalf("train exit %d: %s", code, stderr)
 	}
 
-	stdout, stderr, code := runSpire(t, "diff", "-model", model, "-json", "-workers", "2", dataset, dataset)
+	stdout, stderr, code := runSpire(t, "diff", "-model", model, "-json", dataset, dataset)
 	if code != 0 {
 		t.Fatalf("diff -json exit %d\nstderr: %s", code, stderr)
 	}

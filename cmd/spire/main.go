@@ -98,14 +98,14 @@ func usage() {
 commands:
   ingest   [-strict|-lenient] [-format auto|csv|json] [-min-run-pct P] [-o dataset.json] perf.csv...
   train    -o model.json [-min-samples N] [-workers N] [-hierarchy] [-v] dataset.json...
-  analyze  -model model.json [-top K] [-workers N] [-json] [-interpret] [-timeline] [-html out.html]
+  analyze  -model model.json [-top K] [-json] [-interpret] [-timeline] [-html out.html]
            [-remote URL [-tenant T] [-wire json|bin]] dataset.json...
   watch    -model model.json [-window N] [-top K] [-json] [-follow] [-poll D] [-strict] [-v] perf.csv|-
   serve    [-addr HOST:PORT] [-model model.json] [-model-dir DIR] [-cache N] [-pprof]
            [-max-inflight N] [-admission-queue N] [-queue-wait D] [-tenant-rate R] [-tenant-burst B] [-degraded-cache N]
   route    [-addr HOST:PORT] (-shards name=URL,... | -config cluster.json) [-model model.json]
            [-vnodes N] [-load-factor F] [-health-interval D] [-sync-interval D]
-  diff     -model model.json [-top K] [-workers N] [-json] [-remote URL [-tenant T] [-wire json|bin]] before.json after.json
+  diff     -model model.json [-top K] [-json] [-remote URL [-tenant T] [-wire json|bin]] before.json after.json
   info     -model model.json
   version
 
@@ -197,7 +197,6 @@ func cmdAnalyze(args []string) error {
 	interpret := fs.Bool("interpret", false, "print the interpreted bottleneck-pool report")
 	timeline := fs.Bool("timeline", false, "print the per-window bottleneck timeline")
 	htmlOut := fs.String("html", "", "write a self-contained HTML report to this file")
-	workers := fs.Int("workers", 0, "concurrent per-metric estimators (0 = GOMAXPROCS)")
 	remote := fs.String("remote", "", "estimate via a running `spire serve` at this base URL instead of a local model")
 	tenant := fs.String("tenant", "", "tenant identity sent with -remote requests (X-Spire-Tenant)")
 	wireFmt := fs.String("wire", "json", "transport encoding for -remote requests: json or bin (SPB1 binary)")
@@ -225,7 +224,7 @@ func cmdAnalyze(args []string) error {
 		if cerr != nil {
 			return cerr
 		}
-		est, modelID, err = remoteEstimate(context.Background(), c, data, *workers, *wireFmt)
+		est, modelID, err = remoteEstimate(context.Background(), c, data, *wireFmt)
 		if err != nil {
 			return err
 		}
@@ -258,8 +257,7 @@ func cmdAnalyze(args []string) error {
 	if err != nil {
 		return err
 	}
-	est, err = engine.Default().Estimate(context.Background(), ens, data,
-		core.EstimateOptions{Workers: *workers})
+	est, err = engine.Default().Estimate(context.Background(), ens, data, core.EstimateOptions{})
 	if err != nil {
 		return err
 	}

@@ -27,8 +27,8 @@ func newRemoteClient(baseURL, tenant string) (*client.Client, error) {
 // ("json"/"" or "bin"); the decoded estimation is identical either way.
 // Datasets carrying scheduler events ship them too, so the server
 // attaches the combined on/off-CPU report exactly as a local run would.
-func remoteEstimate(ctx context.Context, c *client.Client, data core.Dataset, workers int, wireFmt string) (*core.Estimation, string, error) {
-	res, err := c.Estimate(ctx, data.Samples, client.EstimateOptions{Workers: workers, Wire: wireFmt, Sched: data.Sched})
+func remoteEstimate(ctx context.Context, c *client.Client, data core.Dataset, wireFmt string) (*core.Estimation, string, error) {
+	res, err := c.Estimate(ctx, data.Samples, client.EstimateOptions{Wire: wireFmt, Sched: data.Sched})
 	if err != nil {
 		return nil, "", err
 	}

@@ -21,7 +21,6 @@ func cmdServe(args []string) error {
 	modelPath := fs.String("model", "", "model file to serve at startup")
 	modelDir := fs.String("model-dir", "", "persist accepted uploads here and resume the latest at startup")
 	cache := fs.Int("cache", 128, "workload-index cache entries (negative disables)")
-	maxWorkers := fs.Int("max-workers", 0, "cap per-request estimation workers (0 = GOMAXPROCS)")
 	maxBody := fs.Int64("max-body", 8<<20, "max request body bytes")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request estimation timeout")
 	drain := fs.Duration("drain", 10*time.Second, "max time to drain in-flight requests on shutdown")
@@ -42,7 +41,6 @@ func cmdServe(args []string) error {
 	srv := serve.New(serve.Config{
 		MaxBodyBytes:   *maxBody,
 		RequestTimeout: *timeout,
-		MaxWorkers:     *maxWorkers,
 		CacheEntries:   *cache,
 		ModelDir:       *modelDir,
 		EnablePprof:    *pprofFlag,

@@ -29,7 +29,6 @@ func cmdWatch(args []string) error {
 	jsonOut := fs.Bool("json", false, "print one compact JSON result per line instead of text")
 	follow := fs.Bool("follow", false, "keep watching for growth after EOF, like tail -f")
 	poll := fs.Duration("poll", 500*time.Millisecond, "how often -follow re-checks for new input")
-	workers := fs.Int("workers", 0, "concurrent per-metric estimators (0 = GOMAXPROCS)")
 	strict := fs.Bool("strict", false, "abort on the first severe anomaly instead of quarantining")
 	verbose := fs.Bool("v", false, "print every retained diagnostic to stderr as it happens")
 	if err := fs.Parse(args); err != nil {
@@ -65,7 +64,6 @@ func cmdWatch(args []string) error {
 	p := stream.NewPipeline(stream.Config{
 		WindowIntervals: *window,
 		Top:             *top,
-		Workers:         *workers,
 		Ingest:          opts,
 		Model:           stream.StaticModel(ens, id),
 	})

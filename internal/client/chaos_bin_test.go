@@ -32,6 +32,7 @@ import (
 // estimation JSON mode returns — chaos or not, the transport encoding
 // never changes the numbers.
 func TestChaosBinTransport(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	s := newSoakServer(t)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -158,6 +159,7 @@ func TestChaosBinTransport(t *testing.T) {
 // the damage still advance the stream, exactly like whole CSV lines
 // before a bad one.
 func TestChaosBinFeedTruncation(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	s := newSoakServer(t)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -55,6 +55,7 @@ func newSoakServer(t testing.TB) *serve.Server {
 // TestChaosSoakTransport drives retrying clients through a chaos
 // RoundTripper (stalls, resets, truncations) at a live server.
 func TestChaosSoakTransport(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	s := newSoakServer(t)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -164,6 +165,7 @@ func TestChaosSoakTransport(t *testing.T) {
 // TestChaosSoakListener is the server-side mirror: the chaos listener
 // breaks accepted connections while plain retrying clients keep calling.
 func TestChaosSoakListener(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	s := newSoakServer(t)
 
 	// Golden through a clean listener against the same server state.
@@ -260,6 +262,7 @@ func streamIntervalCSV(ts int) string {
 // TestChaosSSESubscription: a subscriber whose transport truncates SSE
 // frames reconnects and never delivers a partial event.
 func TestChaosSSESubscription(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	s := newSoakServer(t)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

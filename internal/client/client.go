@@ -334,9 +334,6 @@ const (
 type EstimateOptions struct {
 	// Top truncates the returned ranking; 0 returns all metrics.
 	Top int
-	// Workers requests a server-side worker budget; 0 is the server
-	// default. Results are byte-identical for any value.
-	Workers int
 	// Wire selects the transport encoding: "" or WireJSON for JSON,
 	// WireBin for the SPB1 binary format. The decoded Estimation is
 	// byte-identical either way; only the bytes on the wire differ. A
@@ -377,15 +374,14 @@ func (c *Client) Estimate(ctx context.Context, samples []core.Sample, opts Estim
 		reqBody, err = json.Marshal(struct {
 			Samples []core.Sample     `json:"samples"`
 			Top     int               `json:"top,omitempty"`
-			Workers int               `json:"workers,omitempty"`
 			Sched   []core.SchedEvent `json:"sched,omitempty"`
-		}{samples, opts.Top, opts.Workers, opts.Sched})
+		}{samples, opts.Top, opts.Sched})
 		if err != nil {
 			return nil, err
 		}
 	case WireBin:
 		reqBody = wire.AppendEstimateRequest(nil, &wire.EstimateRequest{
-			Top: opts.Top, Workers: opts.Workers, Samples: samples, Sched: opts.Sched,
+			Top: opts.Top, Samples: samples, Sched: opts.Sched,
 		})
 		ct = wire.ContentTypeBin
 		accept = wire.ContentTypeBin

@@ -26,6 +26,7 @@ import (
 )
 
 func TestChaosClusterHop(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	chaos := faultinject.NewChaos(faultinject.ChaosConfig{
 		Seed:          11,
 		StallRate:     0.08,
@@ -122,6 +123,7 @@ func TestChaosClusterHop(t *testing.T) {
 // through a damaged hop — push retries plus the sync sweep repair any
 // shard whose accept was cut mid-flight.
 func TestChaosClusterConvergence(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	chaos := faultinject.NewChaos(faultinject.ChaosConfig{
 		Seed:          13,
 		ResetRate:     0.25,

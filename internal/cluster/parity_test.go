@@ -11,6 +11,7 @@ package cluster_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -58,6 +59,21 @@ func randSamples(r *rand.Rand) []core.Sample {
 	return samples
 }
 
+// legacyEstimateRequest is the estimate body older clients send: it
+// still carries the "workers" field, which the service now ignores.
+type legacyEstimateRequest struct {
+	Samples []core.Sample `json:"samples"`
+	Top     int           `json:"top,omitempty"`
+	Workers int           `json:"workers,omitempty"`
+}
+
+// withReservedSlot overwrites an SPB1 estimate request's reserved u64,
+// the slot older encoders filled with a worker count.
+func withReservedSlot(frame []byte, v uint64) []byte {
+	binary.LittleEndian.PutUint64(frame[wire.HeaderSize+8:], v)
+	return frame
+}
+
 // genParityRequests produces a deterministic mixed population from one
 // seed: mostly valid bodies across both wire formats, plus the
 // degenerate and malformed tails where error-path parity lives.
@@ -70,18 +86,19 @@ func genParityRequests(seed int64, n int) []parityReq {
 			accept = wire.ContentTypeBin
 		}
 		switch pick := r.Intn(10); {
-		case pick < 5: // JSON body
-			body, err := json.Marshal(serve.EstimateRequest{
+		case pick < 5: // JSON body, some with the legacy "workers" field
+			body, err := json.Marshal(legacyEstimateRequest{
 				Samples: randSamples(r), Top: r.Intn(4), Workers: r.Intn(3),
 			})
 			if err != nil {
 				panic(err)
 			}
 			reqs = append(reqs, parityReq{kind: "json", body: body, contentType: "application/json", accept: accept})
-		case pick < 8: // SPB1 body
-			body := wire.AppendEstimateRequest(nil, &wire.EstimateRequest{
-				Samples: randSamples(r), Top: r.Intn(4), Workers: r.Intn(3),
-			})
+		case pick < 8: // SPB1 body, some with a nonzero reserved slot
+			samples, top := randSamples(r), r.Intn(4)
+			body := withReservedSlot(wire.AppendEstimateRequest(nil, &wire.EstimateRequest{
+				Samples: samples, Top: top,
+			}), uint64(r.Intn(3)))
 			reqs = append(reqs, parityReq{kind: "bin", body: body, contentType: wire.ContentTypeBin, accept: accept})
 		case pick == 8: // degenerate but well-formed
 			switch r.Intn(3) {

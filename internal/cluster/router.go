@@ -433,7 +433,6 @@ func decodeEstimate(body []byte, contentType string) (*wire.EstimateRequest, err
 	var req struct {
 		Samples []core.Sample     `json:"samples"`
 		Top     int               `json:"top"`
-		Workers int               `json:"workers"`
 		Sched   []core.SchedEvent `json:"sched"`
 	}
 	// Mirror serve's decodeQuiet strictness exactly (unknown fields
@@ -448,7 +447,7 @@ func decodeEstimate(body []byte, contentType string) (*wire.EstimateRequest, err
 	if _, err := dec.Token(); err != io.EOF {
 		return nil, errors.New("trailing data after JSON body")
 	}
-	return &wire.EstimateRequest{Top: req.Top, Workers: req.Workers, Samples: req.Samples, Sched: req.Sched}, nil
+	return &wire.EstimateRequest{Top: req.Top, Samples: req.Samples, Sched: req.Sched}, nil
 }
 
 // handleIngest routes a stateless parse by body content hash.

@@ -30,6 +30,7 @@ import (
 )
 
 func TestClusterKillRestartSoak(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	_, model := testutil.TrainModel(t, 1)
 	tc := startCluster(t, clusterOpts{shards: 4})
 	id := tc.pushModel(t, model)

@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // WorkloadIndex is a workload dataset pre-indexed for repeated estimation:
@@ -96,55 +94,21 @@ func (ix *WorkloadIndex) Len() int {
 
 // EstimateOptions configures BatchEstimate.
 type EstimateOptions struct {
-	// Workers bounds the number of metrics estimated concurrently. Zero
-	// or negative selects GOMAXPROCS. Results are identical for every
-	// worker count.
+	// Workers is ignored: estimation always runs serially on the
+	// caller's goroutine. The field remains so existing callers that
+	// set it keep compiling.
 	Workers int
-	// Runner, when non-nil, executes the per-metric estimation tasks:
-	// it must call task(i) exactly once for every i in [0, n) unless ctx
-	// is canceled, and return only when all started tasks have finished.
-	// The engine supplies its process-wide shared worker pool here; nil
-	// spawns up to Workers goroutines for this call (or runs inline when
-	// one worker is requested).
-	Runner func(ctx context.Context, workers, n int, task func(int))
 }
 
-// spawnRun is the default Runner: it spawns up to workers goroutines for
-// this one call, each pulling task indices from a shared cursor.
-func spawnRun(ctx context.Context, workers, n int, task func(int)) {
-	if workers > n {
-		workers = n
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				task(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// chainEval is a precomputed evaluator for one roofline: the chain is
-// flattened into parallel breakpoint columns plus a per-segment start
-// table, and segment lookup runs by interpolation search over the
-// breakpoint abscissae. The segment table stores endpoints — not a
-// precomputed slope — because evaluating y0 + ((i-x0)/(x1-x0))*(y1-y0)
-// with the division done at eval time reproduces Roofline.Eval's rounding
-// bit for bit, which a premultiplied dy/dx would not. Its arithmetic
-// mirrors Roofline.Eval segment for segment, so the two produce
-// bit-identical values.
+// chainEval is the one roofline evaluator: the chain is flattened into
+// parallel breakpoint columns plus a per-segment start table, and
+// segment lookup runs by interpolation search over the breakpoint
+// abscissae. Roofline.Eval, Estimate1, EstimateWithCI, the batch merge
+// and the hierarchy's surfaces all evaluate through it. The segment table
+// stores endpoints — not a precomputed slope — because evaluating
+// y0 + ((i-x0)/(x1-x0))*(y1-y0) with the division done at eval time keeps
+// the rounding of the direct segment-walk definition (internal/oracle's
+// ChainEval) bit for bit, which a premultiplied dy/dx would not.
 type chainEval struct {
 	// Left chain: breakpoint k ends segment k, which starts at
 	// (lx0[k], ly0[k]) — the origin for k == 0, breakpoint k-1 otherwise.
@@ -157,8 +121,7 @@ type chainEval struct {
 }
 
 // newChainEval builds the segment table for r. It tolerates structurally
-// odd chains (it never panics); garbage chains yield the same garbage
-// values Roofline.Eval would.
+// odd chains: it never panics, whatever the breakpoints hold.
 func newChainEval(r *Roofline) *chainEval {
 	peak := r.Peak()
 	ce := &chainEval{
@@ -222,7 +185,9 @@ func searchGE(xs []float64, x float64) int {
 	return lo
 }
 
-// eval is the interpolation-search twin of Roofline.Eval.
+// eval returns the roofline's maximum-throughput estimate at operational
+// intensity i. NaN inputs (and rooflines with no left chain) yield NaN;
+// negative intensities are clamped to zero.
 func (ce *chainEval) eval(i float64) float64 {
 	if math.IsNaN(i) {
 		return math.NaN()
@@ -235,8 +200,8 @@ func (ce *chainEval) eval(i float64) float64 {
 		i = 0
 	}
 	if i <= ce.peakX {
-		// First breakpoint at or beyond i, as evalChainFromOrigin's
-		// linear walk finds it.
+		// First breakpoint at or beyond i: the segment a walk from the
+		// origin along the left chain stops in.
 		k := searchGE(ce.leftX, i)
 		if k >= nl {
 			return ce.leftY[nl-1]
@@ -258,11 +223,11 @@ func (ce *chainEval) eval(i float64) float64 {
 	if i >= ce.rightX[nr-1] {
 		return ce.tail
 	}
-	// Rightmost segment start with rightX[k] <= i, the index Eval's
-	// bisection converges to. searchGE returns the FIRST index with
-	// rightX[k] >= i; on an exact hit that may be the head of a
-	// duplicate-X run whose zero-width segment Eval never selects, so
-	// walk the run of equal abscissae to its end before stepping back.
+	// Rightmost segment start with rightX[k] <= i. searchGE returns the
+	// FIRST index with rightX[k] >= i; on an exact hit that may be the
+	// head of a duplicate-X run whose zero-width segment must never be
+	// selected, so walk the run of equal abscissae to its end before
+	// stepping back.
 	k := searchGE(ce.rightX, i)
 	for k < nr && ce.rightX[k] <= i {
 		k++
@@ -389,36 +354,24 @@ func (s *perMetricSorter) Less(i, j int) bool {
 	return a.Metric < b.Metric
 }
 
-// batchScratch pools the per-call merge state: the shared-metric list,
-// the per-metric result slots (whose contrib slices keep their capacity),
-// the measured-throughput dedup state — an epoch-stamped array over the
-// index's contribution IDs, plus the map fallback for indexes without ID
-// tables — and the ranking sorter. Repeated estimations — the serve and
-// timeline pattern — reach a steady state with no per-call heap growth.
+// batchScratch pools the per-call merge state: the per-metric result
+// slot (whose contrib slice keeps its capacity), the measured-throughput
+// dedup state — an epoch-stamped array over the index's contribution
+// IDs, plus the map fallback for indexes without ID tables — and the
+// ranking sorter. Repeated estimations — the serve and timeline pattern
+// — reach a steady state with no per-call heap growth.
 type batchScratch struct {
-	shared  []string
-	results []metricBatch
-	seen    map[measureKey]bool
-	stamp   []uint32
-	epoch   uint32
-	sorter  perMetricSorter
+	res    metricBatch
+	seen   map[measureKey]bool
+	stamp  []uint32
+	epoch  uint32
+	sorter perMetricSorter
 }
 
 var batchScratchPool = sync.Pool{
 	New: func() any {
 		return &batchScratch{seen: make(map[measureKey]bool, 64)}
 	},
-}
-
-// grab readies the scratch for a call needing up to n metric slots.
-func (sc *batchScratch) grab(n int) {
-	sc.shared = sc.shared[:0]
-	if cap(sc.results) < n {
-		grown := make([]metricBatch, n)
-		copy(grown, sc.results)
-		sc.results = grown
-	}
-	sc.results = sc.results[:0]
 }
 
 // stampTable readies the epoch-stamp dedup array for n contribution IDs
@@ -449,20 +402,20 @@ func (e *Ensemble) BatchEstimate(ctx context.Context, ix *WorkloadIndex, opts Es
 }
 
 // BatchEstimateInto runs the Fig. 4 estimation process against a
-// pre-built workload index, evaluating all shared metrics concurrently on
-// a bounded worker pool (opts.Workers goroutines, default GOMAXPROCS; a
-// single worker runs inline with no goroutines). Per-metric results are
-// merged in metric-name order, so the estimation is deterministic for
-// every worker count and agrees with Ensemble.Estimate.
+// pre-built workload index. Shared metrics are evaluated one after
+// another in metric-name order on the caller's goroutine, and each
+// result is merged as soon as it is computed, so the estimation is
+// deterministic and agrees with Ensemble.Estimate. opts is accepted for
+// compatibility and has no effect.
 //
 // The result is written into est, reusing its slice capacities: a caller
 // that keeps one Estimation per loop reaches zero allocations per call in
 // steady state. On error est's contents are unspecified.
 //
-// Cancelling ctx aborts the remaining metric evaluations and returns
-// ctx.Err(). ErrNoSamples is returned when no indexed metric overlaps the
-// model.
-func (e *Ensemble) BatchEstimateInto(ctx context.Context, ix *WorkloadIndex, opts EstimateOptions, est *Estimation) error {
+// ctx is checked before each metric: cancelling it aborts the remaining
+// evaluations and returns ctx.Err(). ErrNoSamples is returned when no
+// indexed metric overlaps the model.
+func (e *Ensemble) BatchEstimateInto(ctx context.Context, ix *WorkloadIndex, _ EstimateOptions, est *Estimation) error {
 	evals := e.evaluators()
 	est.PerMetric = est.PerMetric[:0]
 	est.MaxThroughput = math.Inf(1)
@@ -471,85 +424,51 @@ func (e *Ensemble) BatchEstimateInto(ctx context.Context, ix *WorkloadIndex, opt
 
 	sc := batchScratchPool.Get().(*batchScratch)
 	defer batchScratchPool.Put(sc)
-	sc.grab(len(ix.metrics))
-	for _, metric := range ix.metrics {
-		if _, ok := e.Rooflines[metric]; ok {
-			sc.shared = append(sc.shared, metric)
-		}
-	}
-	shared := sc.shared
-	if len(shared) == 0 {
-		return ErrNoSamples
-	}
-	results := sc.results[:len(shared)]
-	sc.results = results
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(shared) {
-		workers = len(shared)
-	}
-	if run := opts.Runner; run != nil || workers > 1 {
-		if run == nil {
-			run = spawnRun
-		}
-		run(ctx, workers, len(shared), func(i int) {
-			metric := shared[i]
-			estimateMetric(metric, ix.groups[metric], evals[metric], &results[i])
-		})
-	} else {
-		// Inline serial path: no goroutine handoff, no closure.
-		for i := range shared {
-			if ctx.Err() != nil {
-				break
-			}
-			estimateMetric(shared[i], ix.groups[shared[i]], evals[shared[i]], &results[i])
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	// Deterministic merge in metric-name order: per-metric estimates,
-	// the ensemble minimum, and the period-deduplicated measured
-	// throughput. Indexes built by IndexWorkload carry contribution-ID
-	// tables, so dedup is an epoch-stamped array scan; incremental
-	// snapshots fall back to the key map. Both visit periods in the same
-	// order, so the float accumulation is bit-identical.
-	var totT, totW float64
+	// The measured throughput counts each period once across metrics.
+	// Indexes built by IndexWorkload carry contribution-ID tables, so
+	// dedup is an epoch-stamped array scan; incremental snapshots fall
+	// back to the key map. Both visit periods in the same order, so the
+	// float accumulation is bit-identical.
+	var stamp []uint32
+	var epoch uint32
 	if ix.uniqT != nil {
-		stamp, epoch := sc.stampTable(len(ix.uniqT))
-		for i := range results {
-			res := &results[i]
-			ids := ix.groups[shared[i]].contribID
+		stamp, epoch = sc.stampTable(len(ix.uniqT))
+	} else {
+		clear(sc.seen)
+	}
+	var totT, totW float64
+	res := &sc.res
+	for _, metric := range ix.metrics {
+		ce, ok := evals[metric]
+		if !ok {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		im := ix.groups[metric]
+		estimateMetric(metric, im, ce, res)
+		if stamp != nil {
 			for _, j := range res.contrib {
-				id := ids[j]
+				id := im.contribID[j]
 				if stamp[id] != epoch {
 					stamp[id] = epoch
 					totT += ix.uniqT[id]
 					totW += ix.uniqW[id]
 				}
 			}
-			mergeMetric(est, res)
-		}
-	} else {
-		seen := sc.seen
-		clear(seen)
-		for i := range results {
-			res := &results[i]
-			im := ix.groups[shared[i]]
+		} else {
 			for _, j := range res.contrib {
 				k := measureKey{t: im.t[j], w: im.w[j], window: im.window[j]}
-				if !seen[k] {
-					seen[k] = true
+				if !sc.seen[k] {
+					sc.seen[k] = true
 					totT += k.t
 					totW += k.w
 				}
 			}
-			mergeMetric(est, res)
 		}
+		mergeMetric(est, res)
 	}
 	if len(est.PerMetric) == 0 {
 		return ErrNoSamples

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"spire/internal/oracle"
 )
 
 // estimationsEquivalent compares two estimations field by field. Every
@@ -73,8 +75,7 @@ func randWorkload(rng *rand.Rand) Dataset {
 }
 
 // TestBatchEstimateMatchesEstimate: for random models and workloads, the
-// pre-indexed concurrent path reproduces Ensemble.Estimate for every
-// worker count.
+// pre-indexed path reproduces Ensemble.Estimate.
 func TestBatchEstimateMatchesEstimate(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	ctx := context.Background()
@@ -88,17 +89,15 @@ func TestBatchEstimateMatchesEstimate(t *testing.T) {
 		w := randWorkload(rng)
 		want, werr := ens.Estimate(w)
 		ix := IndexWorkload(w)
-		for _, workers := range []int{0, 1, 2, 5, 33} {
-			got, gerr := ens.BatchEstimate(ctx, ix, EstimateOptions{Workers: workers})
-			if (werr == nil) != (gerr == nil) {
-				t.Fatalf("workers=%d: error mismatch: %v vs %v", workers, gerr, werr)
+		got, gerr := ens.BatchEstimate(ctx, ix, EstimateOptions{})
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("error mismatch: %v vs %v", gerr, werr)
+		}
+		if werr != nil {
+			if !errors.Is(gerr, ErrNoSamples) {
+				t.Fatalf("unexpected error %v", gerr)
 			}
-			if werr != nil {
-				if !errors.Is(gerr, ErrNoSamples) {
-					t.Fatalf("workers=%d: unexpected error %v", workers, gerr)
-				}
-				continue
-			}
+		} else {
 			estimationsEquivalent(t, got, want)
 		}
 		checked++
@@ -115,12 +114,12 @@ func TestBatchEstimateDeterministicAcrossCalls(t *testing.T) {
 	w.Add(mkPlausible("misses", 16)...)
 	ix := IndexWorkload(w)
 	ctx := context.Background()
-	first, err := ens.BatchEstimate(ctx, ix, EstimateOptions{Workers: 4})
+	first, err := ens.BatchEstimate(ctx, ix, EstimateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		again, err := ens.BatchEstimate(ctx, ix, EstimateOptions{Workers: 1 + i%5})
+		again, err := ens.BatchEstimate(ctx, ix, EstimateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +198,7 @@ func TestBatchEstimateAllInfIntensity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ens.BatchEstimate(context.Background(), IndexWorkload(w), EstimateOptions{Workers: 3})
+	got, err := ens.BatchEstimate(context.Background(), IndexWorkload(w), EstimateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,9 +211,10 @@ func TestBatchEstimateAllInfIntensity(t *testing.T) {
 	}
 }
 
-// TestChainEvalMatchesRooflineEval: the binary-search segment table is
-// bit-identical to Roofline.Eval across random fits and probes, including
-// the boundaries (0, breakpoints, peak, beyond-tail, +Inf, NaN).
+// TestChainEvalMatchesRooflineEval: the segment table behind
+// Roofline.Eval is bit-identical to the oracle's segment-walk reference
+// across random fits and probes, including the boundaries (0,
+// breakpoints, peak, beyond-tail, +Inf, NaN).
 func TestChainEvalMatchesRooflineEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	fits := 0
@@ -237,7 +237,7 @@ func TestChainEvalMatchesRooflineEval(t *testing.T) {
 			probes = append(probes, rng.Float64()*r.Peak().X*3)
 		}
 		for _, x := range probes {
-			want := r.Eval(x)
+			want := oracle.ChainEval(r.Left, r.Right, r.TailY, x)
 			got := ce.eval(x)
 			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
 				t.Fatalf("eval(%g) = %g, want %g (roofline %+v)", x, got, want, r)
@@ -258,7 +258,7 @@ func TestConcurrentEstimatorsStress(t *testing.T) {
 	ix := IndexWorkload(w)
 	ctx := context.Background()
 
-	ref, err := ens.BatchEstimate(ctx, ix, EstimateOptions{Workers: 1})
+	ref, err := ens.BatchEstimate(ctx, ix, EstimateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestConcurrentEstimatorsStress(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				switch g % 3 {
 				case 0:
-					got, err := ens.BatchEstimate(ctx, ix, EstimateOptions{Workers: 1 + g%4})
+					got, err := ens.BatchEstimate(ctx, ix, EstimateOptions{})
 					if err != nil {
 						errs <- err
 						return

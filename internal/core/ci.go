@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -53,11 +54,12 @@ type EstimationCI struct {
 // metric's samples with replacement.
 func (e *Ensemble) EstimateWithCI(workload Dataset, opts CIOptions) (*EstimationCI, error) {
 	opts.setDefaults()
-	base, err := e.Estimate(workload)
+	ix := IndexWorkload(workload)
+	base, err := e.BatchEstimate(context.Background(), ix, EstimateOptions{})
 	if err != nil {
 		return nil, err
 	}
-	groups := workload.ByMetric()
+	evals := e.evaluators()
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	out := &EstimationCI{
@@ -66,18 +68,18 @@ func (e *Ensemble) EstimateWithCI(workload Dataset, opts CIOptions) (*Estimation
 	}
 	alpha := (1 - opts.Confidence) / 2
 	for _, m := range base.PerMetric {
-		r := e.Rooflines[m.Metric]
-		samples := groups[m.Metric]
+		ce := evals[m.Metric]
+		im := ix.groups[m.Metric]
 		// Precompute (estimate, weight) pairs once; resampling is then
 		// index shuffling only.
 		type ew struct{ est, w float64 }
 		var pairs []ew
-		for _, s := range samples {
-			p := r.Eval(s.Intensity())
+		for j, intensity := range im.intens {
+			p := ce.eval(intensity)
 			if math.IsNaN(p) {
 				continue
 			}
-			pairs = append(pairs, ew{est: p, w: s.T})
+			pairs = append(pairs, ew{est: p, w: im.t[j]})
 		}
 		ci := MetricEstimateCI{MetricEstimate: m, Lo: m.MeanEstimate, Hi: m.MeanEstimate}
 		if len(pairs) >= 2 {

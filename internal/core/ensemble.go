@@ -120,7 +120,7 @@ type Estimation struct {
 // the historical serial implementation; the differential suite in
 // internal/engine pins that equivalence.
 func (e *Ensemble) Estimate(workload Dataset) (*Estimation, error) {
-	return e.BatchEstimate(context.Background(), IndexWorkload(workload), EstimateOptions{Workers: 1})
+	return e.BatchEstimate(context.Background(), IndexWorkload(workload), EstimateOptions{})
 }
 
 type measureKey struct {
@@ -194,9 +194,9 @@ func (est *Estimation) Rank(metric string) int {
 // Estimate1 estimates a single metric's bound for one intensity value; a
 // convenience for exploratory use and plotting.
 func (e *Ensemble) Estimate1(metric string, intensity float64) (float64, error) {
-	r, ok := e.Rooflines[metric]
+	ce, ok := e.evaluators()[metric]
 	if !ok {
 		return 0, fmt.Errorf("core: no roofline for metric %q", metric)
 	}
-	return r.Eval(intensity), nil
+	return ce.eval(intensity), nil
 }

@@ -203,8 +203,8 @@ func FuzzWindowMerge(f *testing.F) {
 					d.Add(s)
 				}
 			}
-			want, werr := ens.BatchEstimate(ctx, IndexWorkload(d), EstimateOptions{Workers: 1})
-			got, gerr := ens.BatchEstimate(ctx, inc.Snapshot(), EstimateOptions{Workers: 1})
+			want, werr := ens.BatchEstimate(ctx, IndexWorkload(d), EstimateOptions{})
+			got, gerr := ens.BatchEstimate(ctx, inc.Snapshot(), EstimateOptions{})
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("window %d span %d: error mismatch: batch=%v inc=%v", cur, w, werr, gerr)
 			}

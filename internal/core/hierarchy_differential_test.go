@@ -93,9 +93,8 @@ func TestSingleLevelHierarchyByteParity(t *testing.T) {
 			}
 		}
 
-		workers := 1 + models%4
-		hErr := hier.BatchEstimateInto(ctx, ix, EstimateOptions{Workers: workers}, &hierEst)
-		fErr := flat.BatchEstimateInto(ctx, ix, EstimateOptions{Workers: workers}, &flatEst)
+		hErr := hier.BatchEstimateInto(ctx, ix, EstimateOptions{}, &hierEst)
+		fErr := flat.BatchEstimateInto(ctx, ix, EstimateOptions{}, &flatEst)
 		if (hErr == nil) != (fErr == nil) {
 			t.Fatalf("model %d: batch error mismatch: %v vs %v", models, hErr, fErr)
 		}
@@ -105,7 +104,7 @@ func TestSingleLevelHierarchyByteParity(t *testing.T) {
 		got := marshalEstimation(t, &hierEst)
 		want := marshalEstimation(t, &flatEst)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("model %d (workers %d): batch bytes diverged\n hier: %s\n flat: %s", models, workers, got, want)
+			t.Fatalf("model %d: batch bytes diverged\n hier: %s\n flat: %s", models, got, want)
 		}
 	}
 }

@@ -106,7 +106,7 @@ func TestIncrementalIndexSnapshotImmutable(t *testing.T) {
 	inc := NewIncrementalIndex()
 	inc.Add(d.Samples...)
 	snap := inc.Snapshot()
-	baseline, err := ens.BatchEstimate(ctx, snap, EstimateOptions{Workers: 1})
+	baseline, err := ens.BatchEstimate(ctx, snap, EstimateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestIncrementalIndexSnapshotImmutable(t *testing.T) {
 		}
 		inc.Add(more.Samples...)
 		inc.EvictBefore(w - 2)
-		est, err := ens.BatchEstimate(ctx, snap, EstimateOptions{Workers: 1})
+		est, err := ens.BatchEstimate(ctx, snap, EstimateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

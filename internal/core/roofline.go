@@ -51,46 +51,11 @@ func (r *Roofline) Peak() geom.Point {
 }
 
 // Eval returns the maximum-throughput estimate for operational intensity
-// i. NaN inputs yield NaN. Negative intensities are clamped to zero.
+// i. NaN inputs yield NaN. Negative intensities are clamped to zero. It
+// builds the roofline's segment table on every call; repeated callers
+// evaluate through an Ensemble, whose tables are memoized.
 func (r *Roofline) Eval(i float64) float64 {
-	if math.IsNaN(i) {
-		return math.NaN()
-	}
-	if len(r.Left) == 0 {
-		return math.NaN()
-	}
-	if i < 0 {
-		i = 0
-	}
-	peak := r.Peak()
-	if i <= peak.X {
-		return evalChainFromOrigin(r.Left, i)
-	}
-	if len(r.Right) == 0 {
-		return r.TailY
-	}
-	first := r.Right[0]
-	if i < first.X {
-		// Horizontal segment at peak level up to the first chosen
-		// right-region sample (right-continuous step at first.X).
-		return peak.Y
-	}
-	last := r.Right[len(r.Right)-1]
-	if i >= last.X {
-		return r.TailY
-	}
-	// Interpolate within the right chain.
-	lo, hi := 0, len(r.Right)-1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if r.Right[mid].X <= i {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	a, b := r.Right[lo], r.Right[hi]
-	return lerpSeg(a.X, a.Y, b.X, b.Y, i)
+	return newChainEval(r).eval(i)
 }
 
 // lerpSeg interpolates one segment at i and clamps the result into the
@@ -116,22 +81,6 @@ func lerpSeg(x0, y0, x1, y1, i float64) float64 {
 		return hi
 	}
 	return y
-}
-
-// evalChainFromOrigin interpolates the left chain with an implicit (0,0)
-// origin breakpoint.
-func evalChainFromOrigin(chain []geom.Point, i float64) float64 {
-	prev := geom.Point{X: 0, Y: 0}
-	for _, p := range chain {
-		if i <= p.X {
-			if p.X == prev.X {
-				return p.Y
-			}
-			return lerpSeg(prev.X, prev.Y, p.X, p.Y, i)
-		}
-		prev = p
-	}
-	return prev.Y
 }
 
 // CorruptSampleError identifies a sample rejected by strict fitting: one

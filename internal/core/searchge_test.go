@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"spire/internal/geom"
+	"spire/internal/oracle"
 )
 
 // TestSearchGEMatchesSortSearch is the property pinning the whole
@@ -125,19 +126,20 @@ func TestSearchGEGarbageInput(t *testing.T) {
 }
 
 // bitsEqual treats NaN == NaN (any payload-to-payload difference still
-// fails: the columnar path must reproduce Eval's exact bits).
+// fails: the columnar path must reproduce the reference's exact bits).
 func bitsEqual(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// checkEvalAgreement sweeps the given queries through both evaluators.
+// checkEvalAgreement sweeps the given queries through the segment table
+// and the oracle's segment-walk reference.
 func checkEvalAgreement(t *testing.T, r *Roofline, queries []float64) {
 	t.Helper()
 	ce := newChainEval(r)
 	for _, i := range queries {
-		got, want := ce.eval(i), r.Eval(i)
+		got, want := ce.eval(i), oracle.ChainEval(r.Left, r.Right, r.TailY, i)
 		if !bitsEqual(got, want) {
-			t.Fatalf("eval(%v) = %v (bits %x), Roofline.Eval = %v (bits %x)",
+			t.Fatalf("eval(%v) = %v (bits %x), oracle.ChainEval = %v (bits %x)",
 				i, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
@@ -170,7 +172,7 @@ func TestChainEvalSingleSegment(t *testing.T) {
 func TestChainEvalDuplicateBreakpoints(t *testing.T) {
 	// Zero-width segments in both chains, including runs longer than two;
 	// fitted models never produce these, but loaded JSON can, and the
-	// two evaluators must agree on the garbage.
+	// table must agree with the reference on them.
 	rs := []*Roofline{
 		{Metric: "m", Left: []geom.Point{{X: 1, Y: 2}, {X: 1, Y: 5}, {X: 3, Y: 7}}, TailY: 7},
 		{Metric: "m",
@@ -205,7 +207,7 @@ func TestChainEvalExtremeChains(t *testing.T) {
 }
 
 // TestChainEvalRandomAgainstEval is the randomized sweep: fitted-shape
-// chains, ~10k queries, bit-identical outputs.
+// chains, ~10k queries, bit-identical to the oracle's reference.
 func TestChainEvalRandomAgainstEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	total := 0
@@ -228,9 +230,9 @@ func TestChainEvalRandomAgainstEval(t *testing.T) {
 			if q%7 == 0 {
 				i = -i
 			}
-			got, want := ce.eval(i), r.Eval(i)
+			got, want := ce.eval(i), oracle.ChainEval(r.Left, r.Right, r.TailY, i)
 			if !bitsEqual(got, want) {
-				t.Fatalf("rep %d: eval(%v) = %v, Roofline.Eval = %v", rep, i, got, want)
+				t.Fatalf("rep %d: eval(%v) = %v, oracle.ChainEval = %v", rep, i, got, want)
 			}
 			total++
 		}

@@ -26,18 +26,14 @@ func checkColumnarIdentical(t *testing.T, e *Engine, ens *core.Ensemble, d core.
 	want, werr := referenceEstimate(ens, d)
 	ix := core.IndexWorkload(d)
 
-	// Batch path across worker counts (1 is the inline serial loop, >1
-	// the fan-out runner).
-	for workers := 1; workers <= 4; workers++ {
-		got, gerr := ens.BatchEstimate(context.Background(), ix, core.EstimateOptions{Workers: workers})
-		if (werr != nil) != (gerr != nil) {
-			t.Fatalf("%s workers=%d: reference err=%v, batch err=%v", tag, workers, werr, gerr)
-		}
-		if werr != nil {
-			continue
-		}
+	// Batch path.
+	got, gerr := ens.BatchEstimate(context.Background(), ix, core.EstimateOptions{})
+	if (werr != nil) != (gerr != nil) {
+		t.Fatalf("%s: reference err=%v, batch err=%v", tag, werr, gerr)
+	}
+	if werr == nil {
 		if gotJSON, wantJSON := estJSON(t, got), estJSON(t, want); gotJSON != wantJSON {
-			t.Fatalf("%s workers=%d: BatchEstimate diverges\ngot:  %s\nwant: %s", tag, workers, gotJSON, wantJSON)
+			t.Fatalf("%s: BatchEstimate diverges\ngot:  %s\nwant: %s", tag, gotJSON, wantJSON)
 		}
 	}
 
@@ -45,7 +41,7 @@ func checkColumnarIdentical(t *testing.T, e *Engine, ens *core.Ensemble, d core.
 	// back in across every pair of the run, so stale per-metric rows,
 	// coverage lists and mins from the previous workload must all be
 	// overwritten.
-	rerr := ens.BatchEstimateInto(context.Background(), ix, core.EstimateOptions{Workers: 1}, reused)
+	rerr := ens.BatchEstimateInto(context.Background(), ix, core.EstimateOptions{}, reused)
 	if (werr != nil) != (rerr != nil) {
 		t.Fatalf("%s: reference err=%v, reuse err=%v", tag, werr, rerr)
 	}
@@ -57,7 +53,7 @@ func checkColumnarIdentical(t *testing.T, e *Engine, ens *core.Ensemble, d core.
 
 	// Engine indexed path — the serving tier's hot loop.
 	eix, _ := e.Index(d.Samples)
-	got, gerr := e.EstimateIndexed(context.Background(), ens, eix, core.EstimateOptions{})
+	got, gerr = e.EstimateIndexed(context.Background(), ens, eix, core.EstimateOptions{})
 	if (werr != nil) != (gerr != nil) {
 		t.Fatalf("%s: reference err=%v, indexed err=%v", tag, werr, gerr)
 	}
@@ -80,7 +76,7 @@ func checkColumnarIdentical(t *testing.T, e *Engine, ens *core.Ensemble, d core.
 		inc.Add(d.Samples[off : off+n]...)
 		off += n
 	}
-	sgot, serr := ens.BatchEstimate(context.Background(), inc.Snapshot(), core.EstimateOptions{Workers: 1})
+	sgot, serr := ens.BatchEstimate(context.Background(), inc.Snapshot(), core.EstimateOptions{})
 	if (werr != nil) != (serr != nil) {
 		t.Fatalf("%s: reference err=%v, snapshot err=%v", tag, werr, serr)
 	}
@@ -136,7 +132,7 @@ func checkWindowedIdentical(t *testing.T, ens *core.Ensemble, d core.Dataset, ta
 			}
 		}
 		want, werr := referenceEstimate(ens, wd)
-		got, gerr := ens.BatchEstimate(context.Background(), inc.Snapshot(), core.EstimateOptions{Workers: 1})
+		got, gerr := ens.BatchEstimate(context.Background(), inc.Snapshot(), core.EstimateOptions{})
 		if (werr != nil) != (gerr != nil) {
 			t.Fatalf("%s w=%d: reference err=%v, evicted snapshot err=%v", tag, w, werr, gerr)
 		}

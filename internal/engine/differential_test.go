@@ -163,24 +163,18 @@ func checkByteIdentical(t *testing.T, e *Engine, ens *core.Ensemble, d core.Data
 	if (werr != nil) != (serr != nil) {
 		t.Fatalf("%s: reference err=%v, shim err=%v", tag, werr, serr)
 	}
-	for workers := 1; workers <= 4; workers++ {
-		got, gerr := e.Estimate(context.Background(), ens, d, core.EstimateOptions{Workers: workers})
-		if (werr != nil) != (gerr != nil) {
-			t.Fatalf("%s: reference err=%v, engine err=%v", tag, werr, gerr)
-		}
-		if werr != nil {
-			continue
-		}
-		wantJSON := estJSON(t, want)
-		if gotJSON := estJSON(t, got); gotJSON != wantJSON {
-			t.Fatalf("%s workers=%d: engine diverges from pre-refactor serial output\ngot:  %s\nwant: %s",
-				tag, workers, gotJSON, wantJSON)
-		}
+	got, gerr := e.Estimate(context.Background(), ens, d, core.EstimateOptions{})
+	if (werr != nil) != (gerr != nil) {
+		t.Fatalf("%s: reference err=%v, engine err=%v", tag, werr, gerr)
 	}
 	if werr != nil {
 		return
 	}
 	wantJSON := estJSON(t, want)
+	if gotJSON := estJSON(t, got); gotJSON != wantJSON {
+		t.Fatalf("%s: engine diverges from pre-refactor serial output\ngot:  %s\nwant: %s",
+			tag, gotJSON, wantJSON)
+	}
 	if shimJSON := estJSON(t, shim); shimJSON != wantJSON {
 		t.Fatalf("%s: Ensemble.Estimate shim diverges from pre-refactor serial output\ngot:  %s\nwant: %s",
 			tag, shimJSON, wantJSON)

@@ -10,16 +10,16 @@
 //     tier's cache, promoted here so every consumer benefits);
 //   - the precompiled per-roofline segment tables (core's chainEval,
 //     built once per ensemble and shared);
-//   - a bounded worker pool sized once per Engine — in practice once per
-//     process via Default() — instead of a goroutine set per call;
 //   - scratch-buffer reuse for the per-metric partial sums (core's
 //     sync.Pool scratch, driven hardest by this hot path);
 //   - optional internal/metrics instrumentation: estimates served,
 //     estimation latency, samples evaluated, index-cache hits/misses.
 //
-// Results are byte-identical to core's historical serial Estimate for
-// every worker count and pool state; the differential suite in this
-// package pins that equivalence against the pre-refactor implementation.
+// Estimation runs serially on the caller's goroutine: an Engine starts no
+// goroutines of its own, so dropping one leaks nothing. Results are
+// byte-identical to core's historical serial Estimate for every cache
+// state; the differential suite in this package pins that equivalence
+// against the pre-refactor implementation.
 package engine
 
 import (
@@ -40,10 +40,6 @@ type Options struct {
 	// CacheEntries bounds the workload-index LRU. Zero selects
 	// DefaultCacheEntries; negative disables caching.
 	CacheEntries int
-	// PoolSize is the worker-pool size. Zero or negative selects
-	// GOMAXPROCS. Per-call concurrency is additionally bounded by
-	// core.EstimateOptions.Workers.
-	PoolSize int
 	// Metrics, when non-nil, receives the engine's counters and
 	// histograms. Nil keeps instrumentation on a private registry.
 	Metrics *metrics.Registry
@@ -51,9 +47,8 @@ type Options struct {
 
 // Engine evaluates workloads against trained ensembles. It is safe for
 // concurrent use by any number of goroutines; construct one per process
-// (or use Default) so the pool and cache are actually shared.
+// (or use Default) so the cache is actually shared.
 type Engine struct {
-	pool  *pool
 	cache *indexCache
 
 	mEstimates   *metrics.Counter
@@ -73,7 +68,6 @@ func New(opts Options) *Engine {
 		reg = metrics.NewRegistry()
 	}
 	return &Engine{
-		pool:  newPool(opts.PoolSize),
 		cache: newIndexCache(opts.CacheEntries),
 
 		mEstimates:   reg.Counter("spire_engine_estimates_total", "Estimations completed by the engine."),
@@ -91,7 +85,7 @@ var (
 
 // Default returns the process-wide shared engine, building it on first
 // use with default options. CLI commands, examples and library code that
-// have no reason to own a pool should all share this one.
+// have no reason to own a cache should all share this one.
 func Default() *Engine {
 	defaultOnce.Do(func() { defaultEngine = New(Options{}) })
 	return defaultEngine
@@ -114,9 +108,9 @@ func (e *Engine) Index(samples []core.Sample) (*core.WorkloadIndex, bool) {
 }
 
 // Estimate runs the Eq. 1 estimation of workload against ens: index
-// (cache-memoized), evaluate all shared metrics on the shared pool, merge
-// deterministically. Identical inputs produce identical outputs for any
-// worker count, pool size, and cache state.
+// (cache-memoized), evaluate every shared metric on the caller's
+// goroutine, merge deterministically. Identical inputs produce identical
+// outputs for any cache state. opts has no effect.
 func (e *Engine) Estimate(ctx context.Context, ens *core.Ensemble, workload core.Dataset, opts core.EstimateOptions) (*core.Estimation, error) {
 	ix, _ := e.Index(workload.Samples)
 	return e.EstimateIndexed(ctx, ens, ix, opts)
@@ -127,7 +121,6 @@ func (e *Engine) Estimate(ctx context.Context, ens *core.Ensemble, workload core
 // headers) and the streaming tier (whose sliding windows maintain
 // incremental index snapshots).
 func (e *Engine) EstimateIndexed(ctx context.Context, ens *core.Ensemble, ix *core.WorkloadIndex, opts core.EstimateOptions) (*core.Estimation, error) {
-	opts.Runner = e.pool.run
 	start := time.Now()
 	est, err := ens.BatchEstimate(ctx, ix, opts)
 	e.mLatency.Observe(time.Since(start).Seconds())

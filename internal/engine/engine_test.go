@@ -62,15 +62,12 @@ func TestEstimateMatchesCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(Options{})
-	for workers := 0; workers <= 5; workers++ {
-		got, err := e.Estimate(context.Background(), ens, d, core.EstimateOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: engine estimate diverges from core", workers)
-		}
+	got, err := New(Options{}).Estimate(context.Background(), ens, d, core.EstimateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("engine estimate diverges from core")
 	}
 }
 
@@ -176,8 +173,8 @@ func TestEstimateNoSamples(t *testing.T) {
 func TestConcurrentEstimates(t *testing.T) {
 	ens := testModel(t)
 	d := testWorkload(6, 30)
-	e := New(Options{PoolSize: 4})
-	want, err := e.Estimate(context.Background(), ens, d, core.EstimateOptions{Workers: 1})
+	e := New(Options{})
+	want, err := e.Estimate(context.Background(), ens, d, core.EstimateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +186,7 @@ func TestConcurrentEstimates(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				got, err := e.Estimate(context.Background(), ens, d, core.EstimateOptions{Workers: 1 + g%5})
+				got, err := e.Estimate(context.Background(), ens, d, core.EstimateOptions{})
 				if err != nil {
 					errs <- err
 					return
@@ -214,48 +211,6 @@ var errDiverged = &divergeError{}
 type divergeError struct{}
 
 func (*divergeError) Error() string { return "concurrent estimate diverged" }
-
-func TestPoolRunCoversAllTasks(t *testing.T) {
-	p := newPool(3)
-	for _, n := range []int{0, 1, 2, 7, 100} {
-		for _, workers := range []int{0, 1, 2, 8} {
-			hits := make([]int32, n)
-			var mu sync.Mutex
-			p.run(context.Background(), workers, n, func(i int) {
-				mu.Lock()
-				hits[i]++
-				mu.Unlock()
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("n=%d workers=%d: task %d ran %d times", n, workers, i, h)
-				}
-			}
-		}
-	}
-}
-
-// TestPoolSaturation runs more concurrent pool.run calls than the pool
-// has workers; the inline slots must keep everything progressing.
-func TestPoolSaturation(t *testing.T) {
-	p := newPool(2)
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			done := make([]bool, 50)
-			p.run(context.Background(), 4, len(done), func(i int) { done[i] = true })
-			for i, d := range done {
-				if !d {
-					t.Errorf("task %d never ran", i)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 func TestEngineMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()

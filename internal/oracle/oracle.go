@@ -53,6 +53,73 @@ func LeftEval(pts []geom.Point, x float64) float64 {
 	return best
 }
 
+// ChainEval evaluates a fitted roofline's chain at intensity x by the
+// direct definition, walking the breakpoints one by one: from the origin
+// (0,0) through left (ascending, ending at the peak), then RightEval
+// beyond the peak. NaN is returned for NaN x or an empty left chain, and
+// negative x is clamped to zero. It is the reference the fast segment
+// table in internal/core must reproduce bit for bit, so it interpolates
+// with the same clamped arithmetic.
+func ChainEval(left, right []geom.Point, tail, x float64) float64 {
+	if math.IsNaN(x) || len(left) == 0 {
+		return math.NaN()
+	}
+	if x < 0 {
+		x = 0
+	}
+	peak := left[len(left)-1]
+	if x > peak.X {
+		return RightEval(peak, right, tail, x)
+	}
+	prev := geom.Point{}
+	for _, p := range left {
+		if x <= p.X {
+			if p.X == prev.X {
+				return p.Y
+			}
+			return lerp(prev, p, x)
+		}
+		prev = p
+	}
+	return prev.Y
+}
+
+// RightEval evaluates the right region and tail of a fitted chain at an
+// intensity x beyond the peak (paper §III-D, Fig. 6): the horizontal peak
+// level until the first right breakpoint, linear interpolation along the
+// right chain, and tail at or beyond its last breakpoint. Where
+// breakpoints share an abscissa, the last of them starts the segment, so
+// a zero-width segment is never interpolated.
+func RightEval(peak geom.Point, right []geom.Point, tail, x float64) float64 {
+	n := len(right)
+	switch {
+	case n == 0 || x >= right[n-1].X:
+		return tail
+	case x < right[0].X:
+		return peak.Y
+	}
+	for k := n - 2; k >= 0; k-- {
+		if right[k].X <= x {
+			return lerp(right[k], right[k+1], x)
+		}
+	}
+	return peak.Y
+}
+
+// lerp interpolates segment a-b at x, clamped into the endpoints' Y
+// range so cancellation in the final add cannot escape the segment.
+func lerp(a, b geom.Point, x float64) float64 {
+	t := (x - a.X) / (b.X - a.X)
+	y := a.Y + t*(b.Y-a.Y)
+	switch lo, hi := math.Min(a.Y, b.Y), math.Max(a.Y, b.Y); {
+	case y < lo:
+		return lo
+	case y > hi:
+		return hi
+	}
+	return y
+}
+
 // maxYPoint returns the highest-Y point, ties broken by lower X (the
 // fast path's peak selection rule), and ok=false for an empty slice.
 func maxYPoint(pts []geom.Point) (geom.Point, bool) {

@@ -13,7 +13,7 @@ func TestLeftEvalTriangle(t *testing.T) {
 	pts := []geom.Point{{X: 1, Y: 1}, {X: 2, Y: 4}, {X: 4, Y: 5}}
 	cases := []struct{ x, want float64 }{
 		{0, 0},
-		{1, 2},   // chord origin->(2,4) at x=1, above the (1,1) sample
+		{1, 2}, // chord origin->(2,4) at x=1, above the (1,1) sample
 		{2, 4},
 		{3, 4.5}, // chord (2,4)->(4,5)
 		{4, 5},
@@ -31,10 +31,62 @@ func TestLeftEvalTriangle(t *testing.T) {
 	}
 }
 
+func TestChainEvalHandComputed(t *testing.T) {
+	// Left chain origin->(2,4)->(4,6) with the peak at (4,6); the right
+	// region holds the peak level until (6,5), falls to (8,1), and the
+	// tail is 1 beyond it.
+	left := []geom.Point{{X: 2, Y: 4}, {X: 4, Y: 6}}
+	right := []geom.Point{{X: 6, Y: 5}, {X: 8, Y: 1}}
+	cases := []struct{ x, want float64 }{
+		{-3, 0}, // clamped to the origin
+		{0, 0},
+		{1, 2},
+		{3, 5},
+		{4, 6},
+		{5, 6}, // horizontal peak segment
+		{6, 5},
+		{7, 3},
+		{8, 1},
+		{math.Inf(1), 1},
+	}
+	for _, c := range cases {
+		if got := ChainEval(left, right, 1, c.x); got != c.want {
+			t.Errorf("ChainEval(%g) = %g, want %g", c.x, got, c.want)
+		}
+	}
+	if got := ChainEval(left, right, 1, math.NaN()); !math.IsNaN(got) {
+		t.Errorf("ChainEval(NaN) = %g, want NaN", got)
+	}
+	if got := ChainEval(nil, right, 1, 1); !math.IsNaN(got) {
+		t.Errorf("ChainEval with no left chain = %g, want NaN", got)
+	}
+	if got := ChainEval(left, nil, 3, 5); got != 3 {
+		t.Errorf("ChainEval past a peak with no right chain = %g, want tail 3", got)
+	}
+}
+
+func TestRightEvalDuplicateBreakpoints(t *testing.T) {
+	// Three breakpoints share x=4: the last of them starts the segment,
+	// so the zero-width segments are never interpolated.
+	peak := geom.Point{X: 2, Y: 10}
+	right := []geom.Point{{X: 4, Y: 9}, {X: 4, Y: 8}, {X: 4, Y: 7}, {X: 6, Y: 5}}
+	cases := []struct{ x, want float64 }{
+		{3, 10},
+		{4, 7},
+		{5, 6},
+		{6, 4},
+	}
+	for _, c := range cases {
+		if got := RightEval(peak, right, 4, c.x); got != c.want {
+			t.Errorf("RightEval(%g) = %g, want %g", c.x, got, c.want)
+		}
+	}
+}
+
 func TestParetoFrontNaive(t *testing.T) {
 	pts := []geom.Point{
 		{X: 1, Y: 5}, {X: 2, Y: 3}, {X: 2, Y: 3}, // duplicate collapses
-		{X: 1.5, Y: 2},                           // dominated by (2,3)
+		{X: 1.5, Y: 2}, // dominated by (2,3)
 		{X: 4, Y: 1},
 	}
 	front := ParetoFront(pts)

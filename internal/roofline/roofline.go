@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // CeilingKind distinguishes horizontal compute ceilings from diagonal
@@ -151,19 +150,4 @@ type App struct {
 	Intensity float64
 	// Throughput is the measured performance.
 	Throughput float64
-}
-
-// Efficiency returns the app's achieved fraction of its attainable bound.
-func (m *Model) Efficiency(a App) float64 {
-	att := m.Attainable(a.Intensity)
-	if att <= 0 {
-		return 0
-	}
-	return a.Throughput / att
-}
-
-// SortApps orders apps by ascending operational intensity, the
-// conventional plot order.
-func SortApps(apps []App) {
-	sort.Slice(apps, func(i, j int) bool { return apps[i].Intensity < apps[j].Intensity })
 }

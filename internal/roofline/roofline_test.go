@@ -124,16 +124,3 @@ func TestSeries(t *testing.T) {
 		t.Error("n<2 should fail")
 	}
 }
-
-func TestEfficiencyAndSort(t *testing.T) {
-	m := model(t)
-	a := App{Name: "a", Intensity: 1, Throughput: 2}
-	if got := m.Efficiency(a); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("efficiency = %g, want 0.5", got)
-	}
-	apps := []App{{Name: "x", Intensity: 3}, {Name: "y", Intensity: 1}}
-	SortApps(apps)
-	if apps[0].Name != "y" {
-		t.Error("SortApps should order by intensity")
-	}
-}

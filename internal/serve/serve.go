@@ -1,12 +1,12 @@
 // Package serve is SPIRE's long-running estimation service: the trained
 // ensemble behind an HTTP JSON API. It wires the hardened ingestion
-// pipeline (internal/ingest) and the parallel batch estimator
+// pipeline (internal/ingest) and the batch estimator
 // (core.IndexWorkload / BatchEstimate) behind a versioned, atomically
 // hot-swappable model registry, a bounded LRU of content-addressed
 // workload indexes, and built-in Prometheus-format observability
 // (internal/metrics). Every handler enforces a max body size and the
-// estimation path runs under a per-request timeout and worker budget, so
-// one hostile or huge request cannot starve the service.
+// estimation path runs under a per-request timeout, so one hostile or
+// huge request cannot starve the service.
 //
 // Endpoints:
 //
@@ -80,10 +80,6 @@ type Config struct {
 	MaxBodyBytes int64
 	// RequestTimeout bounds the estimation path per request. Default 30s.
 	RequestTimeout time.Duration
-	// MaxWorkers caps the per-request estimation worker budget; requests
-	// asking for more are clamped. Default 0 = GOMAXPROCS (core's own
-	// default).
-	MaxWorkers int
 	// CacheEntries bounds the workload-index LRU. Default 128; negative
 	// disables caching.
 	CacheEntries int
@@ -185,9 +181,8 @@ func New(cfg Config) *Server {
 		cfg:    cfg,
 		models: NewRegistry(cfg.ModelDir),
 		// One estimation engine backs both /v1/estimate and the stream
-		// re-estimation path: shared worker pool, shared workload-index
-		// cache, and its hit/miss counters land on this registry (and so
-		// on /metrics).
+		// re-estimation path: shared workload-index cache, and its
+		// hit/miss counters land on this registry (and so on /metrics).
 		engine:  engine.New(engine.Options{CacheEntries: cfg.CacheEntries, Metrics: reg}),
 		metrics: reg,
 
@@ -422,14 +417,12 @@ func writeRejected(w http.ResponseWriter, err error) {
 }
 
 // EstimateRequest is the /v1/estimate request body. Samples use the
-// core.Sample JSON shape ({"metric","t","w","m","window"}).
+// core.Sample JSON shape ({"metric","t","w","m","window"}). Unknown
+// fields are ignored, including the "workers" field older clients send.
 type EstimateRequest struct {
 	Samples []core.Sample `json:"samples"`
 	// Top truncates the returned per-metric ranking; 0 returns all.
 	Top int `json:"top,omitempty"`
-	// Workers requests an estimation worker budget; clamped to the
-	// server's MaxWorkers. 0 = server default.
-	Workers int `json:"workers,omitempty"`
 	// Sched optionally carries the workload's scheduler events; when
 	// present the response's estimation includes the combined
 	// on-CPU/off-CPU report.
@@ -500,7 +493,7 @@ func (s *Server) decodeEstimateRequest(r *http.Request) (*EstimateRequest, error
 		if err != nil {
 			return nil, err
 		}
-		return &EstimateRequest{Samples: wreq.Samples, Top: wreq.Top, Workers: wreq.Workers, Sched: wreq.Sched}, nil
+		return &EstimateRequest{Samples: wreq.Samples, Top: wreq.Top, Sched: wreq.Sched}, nil
 	}
 	var req EstimateRequest
 	if err := decodeQuiet(r, &req); err != nil {
@@ -549,13 +542,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Spire-Cache", cacheStatus(hit))
 	w.Header().Set("X-Spire-Model", info.ID)
 
-	workers := req.Workers
-	if workers <= 0 || (s.cfg.MaxWorkers > 0 && workers > s.cfg.MaxWorkers) {
-		workers = s.cfg.MaxWorkers
-	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	est, err := s.engine.EstimateIndexed(ctx, ens, ix, core.EstimateOptions{Workers: workers})
+	est, err := s.engine.EstimateIndexed(ctx, ens, ix, core.EstimateOptions{})
 	switch {
 	case err == nil:
 	case errors.Is(err, core.ErrNoSamples):
@@ -601,9 +590,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		}
 		raw = append(raw, '\n')
 	}
-	// Remember the exact bytes for the saturated fast path. Workers
-	// are deliberately not part of the key: results are byte-identical
-	// for any worker budget.
+	// Remember the exact bytes for the saturated fast path.
 	s.resp.put(respKey(info.ID, engine.WorkloadKey(req.Samples), req.Top, wantBin, schedKey(req.Sched)), raw)
 	s.mEstimates.Inc()
 	if h := est.Hierarchy; h != nil {

@@ -195,24 +195,33 @@ func TestEstimateRequestErrors(t *testing.T) {
 	testutil.ReadBody(t, getResp)
 }
 
+// TestEstimateTopAndWorkers: top truncates the ranking, and the legacy
+// "workers" field older clients send is accepted and has no effect.
 func TestEstimateTopAndWorkers(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxWorkers: 2})
+	s, ts := newTestServer(t, Config{})
 	_, model := testutil.TrainModel(t, 1)
 	if _, err := s.Models().Load(bytes.NewReader(model), "test"); err != nil {
 		t.Fatal(err)
 	}
-	resp := testutil.PostJSON(t, ts.URL+"/v1/estimate", EstimateRequest{
-		Samples: testutil.Samples(), Top: 1, Workers: 1 << 20, // absurd budget is clamped
-	})
-	if resp.StatusCode != 200 {
-		t.Fatalf("status = %d", resp.StatusCode)
+	post := func(body any) []byte {
+		t.Helper()
+		resp := testutil.PostJSON(t, ts.URL+"/v1/estimate", body)
+		raw := testutil.ReadBody(t, resp)
+		if resp.StatusCode != 200 {
+			t.Fatalf("status = %d: %s", resp.StatusCode, raw)
+		}
+		return raw
 	}
+	raw := post(map[string]any{"samples": testutil.Samples(), "top": 1, "workers": 1 << 20})
 	var er EstimateResponse
-	if err := json.Unmarshal(testutil.ReadBody(t, resp), &er); err != nil {
+	if err := json.Unmarshal(raw, &er); err != nil {
 		t.Fatal(err)
 	}
 	if len(er.Estimation.PerMetric) != 1 {
 		t.Errorf("top=1 returned %d metrics", len(er.Estimation.PerMetric))
+	}
+	if plain := post(EstimateRequest{Samples: testutil.Samples(), Top: 1}); !bytes.Equal(raw, plain) {
+		t.Errorf("workers field changed the response:\nwith:    %s\nwithout: %s", raw, plain)
 	}
 }
 

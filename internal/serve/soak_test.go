@@ -40,6 +40,7 @@ func scrapeCounter(t *testing.T, body, name string) float64 {
 // torn reads across the swap), and every scraped counter must be
 // monotonic.
 func TestSoakConcurrentEstimateHotSwap(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	s, ts := newTestServer(t, Config{})
 	ensA, modelA := testutil.TrainModel(t, 1)
 	ensB, modelB := testutil.TrainModel(t, 3)

@@ -41,6 +41,7 @@ func soakWindowDataset(k int) core.Dataset {
 // that). Interval accounting must conserve: every completed interval is
 // either windowed or counted as a backpressure drop.
 func TestSoakStreamHotSwap(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	const (
 		windowSpan = 4
 		writers    = 8

@@ -86,9 +86,9 @@ func TestDifferentialStreamingMatchesBatch(t *testing.T) {
 	for si := 0; si < 40; si++ {
 		ens := trainStreamEnsemble(t, rng)
 		span := 1 + rng.Intn(10)
+		rng.Intn(4) // once the worker count; still drawn so later draws are unchanged
 		cfg := Config{
 			WindowIntervals: span,
-			Workers:         1 + rng.Intn(4),
 			Model:           StaticModel(ens, fmt.Sprintf("model-%d", si)),
 		}
 		w := NewWindower(span)
@@ -109,7 +109,7 @@ func TestDifferentialStreamingMatchesBatch(t *testing.T) {
 					d.Add(p.Samples...)
 				}
 			}
-			want, werr := ens.BatchEstimate(ctx, core.IndexWorkload(d), core.EstimateOptions{Workers: 1})
+			want, werr := ens.BatchEstimate(ctx, core.IndexWorkload(d), core.EstimateOptions{})
 			if werr != nil {
 				if got.Estimation != nil || got.Error != "no sample matches a modeled metric" {
 					t.Fatalf("stream %d window %d: batch says %v, stream says %+v", si, i, werr, got)
@@ -172,9 +172,9 @@ func TestDifferentialPipelineCSV(t *testing.T) {
 		}
 		ivs = append(ivs, tail...)
 
+		rng.Intn(3) // once the worker count; still drawn so later draws are unchanged
 		p := NewPipeline(Config{
 			WindowIntervals: span,
-			Workers:         1 + rng.Intn(3),
 			Model:           StaticModel(ens, "csv-model"),
 		})
 		var got []Result
@@ -219,7 +219,7 @@ func TestDifferentialPipelineCSV(t *testing.T) {
 				res.Intervals != count || res.Model != "csv-model" {
 				t.Fatalf("stream %d result %d: bookkeeping off: %+v", si, i, res)
 			}
-			want, werr := ens.BatchEstimate(ctx, core.IndexWorkload(d), core.EstimateOptions{Workers: 1})
+			want, werr := ens.BatchEstimate(ctx, core.IndexWorkload(d), core.EstimateOptions{})
 			if werr != nil {
 				if res.Error != "no sample matches a modeled metric" {
 					t.Fatalf("stream %d result %d: batch says %v, stream says %+v", si, i, werr, res)

@@ -70,9 +70,9 @@ func TestStreamHierarchyMatchesBatch(t *testing.T) {
 	hierarchical := 0
 	for si := 0; si < 8; si++ {
 		span := 1 + rng.Intn(6)
+		rng.Intn(4) // once the worker count; still drawn so later draws are unchanged
 		est := NewEstimator(Config{
 			WindowIntervals: span,
-			Workers:         1 + rng.Intn(4),
 			Model:           StaticModel(ens, fmt.Sprintf("hier-%d", si)),
 		}, NewInstruments(nil))
 		w := NewWindower(span)
@@ -88,7 +88,7 @@ func TestStreamHierarchyMatchesBatch(t *testing.T) {
 					d.Add(p.Samples...)
 				}
 			}
-			want, werr := ens.BatchEstimate(ctx, core.IndexWorkload(d), core.EstimateOptions{Workers: 1})
+			want, werr := ens.BatchEstimate(ctx, core.IndexWorkload(d), core.EstimateOptions{})
 			if werr != nil {
 				if got.Estimation != nil {
 					t.Fatalf("stream %d window %d: batch says %v, stream emitted %+v", si, i, werr, got)
@@ -134,7 +134,8 @@ func TestStreamSingleLevelParity(t *testing.T) {
 			}}},
 		}
 		span := 1 + rng.Intn(6)
-		cfg := Config{WindowIntervals: span, Workers: 1 + rng.Intn(4)}
+		rng.Intn(4) // once the worker count; still drawn so later draws are unchanged
+		cfg := Config{WindowIntervals: span}
 		fCfg, oCfg := cfg, cfg
 		fCfg.Model = StaticModel(flat, "m")
 		oCfg.Model = StaticModel(one, "m")

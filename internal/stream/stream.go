@@ -54,9 +54,6 @@ type Config struct {
 	// Top truncates each result's ranking to the N tightest bounds
 	// (0 = keep all).
 	Top int
-	// Workers bounds per-window estimation concurrency (see
-	// core.EstimateOptions.Workers).
-	Workers int
 	// MaxPending bounds the Hub's interval queue (default
 	// DefaultMaxPending). Ignored by Pipeline.
 	MaxPending int
@@ -70,7 +67,7 @@ type Config struct {
 	// Metrics receives stream instrumentation; nil means a private
 	// throwaway registry.
 	Metrics *metrics.Registry
-	// Engine runs each window's estimation (shared worker pool,
+	// Engine runs each window's estimation (shared index cache,
 	// instrumentation). Nil selects the process-wide engine.Default().
 	Engine *engine.Engine
 }
@@ -125,18 +122,17 @@ func (r Result) Truncate(n int) Result {
 // Estimator evaluates windows against the provider's current model,
 // running each window's Eq. 1 evaluation on the shared estimation engine.
 type Estimator struct {
-	model   ModelProvider
-	eng     *engine.Engine
-	top     int
-	workers int
-	inst    *Instruments
+	model ModelProvider
+	eng   *engine.Engine
+	top   int
+	inst  *Instruments
 }
 
 // NewEstimator builds an estimator from cfg (which must have defaults
 // applied) and the stream instruments.
 func NewEstimator(cfg Config, inst *Instruments) *Estimator {
 	cfg.setDefaults()
-	return &Estimator{model: cfg.Model, eng: cfg.Engine, top: cfg.Top, workers: cfg.Workers, inst: inst}
+	return &Estimator{model: cfg.Model, eng: cfg.Engine, top: cfg.Top, inst: inst}
 }
 
 // Estimate produces the Result for one window. Estimation failures are
@@ -159,7 +155,7 @@ func (e *Estimator) Estimate(ctx context.Context, win Window) Result {
 	}
 	res.Model = id
 	start := time.Now()
-	est, err := e.eng.EstimateIndexed(ctx, ens, win.Index, core.EstimateOptions{Workers: e.workers})
+	est, err := e.eng.EstimateIndexed(ctx, ens, win.Index, core.EstimateOptions{})
 	e.inst.estimated(time.Since(start))
 	switch {
 	case errors.Is(err, core.ErrNoSamples):

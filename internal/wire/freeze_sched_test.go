@@ -23,10 +23,12 @@ import (
 // catches it.
 
 // frozenAppendEstimateRequest is the pre-sched request encoder, frozen.
+// Its second u64 once carried a worker count; it is now the reserved
+// slot, written as 0.
 func frozenAppendEstimateRequest(dst []byte, req *EstimateRequest) []byte {
 	dst, start := appendHeader(dst, MsgEstimateRequest)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(req.Top)))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(req.Workers)))
+	dst = binary.LittleEndian.AppendUint64(dst, 0)
 	dst = appendSamples(dst, req.Samples)
 	return finishFrame(dst, start)
 }
@@ -300,11 +302,9 @@ func TestZeroSchedFreezeDifferential(t *testing.T) {
 	for i := 0; i < cases; i++ {
 		// Requests: zero sched events must freeze. Both the nil slice and
 		// the empty non-nil slice are "zero".
-		req := &EstimateRequest{
-			Top:     rng.Intn(64) - 1,
-			Workers: rng.Intn(16),
-			Samples: randFreezeSamples(rng),
-		}
+		top := rng.Intn(64) - 1
+		rng.Intn(16) // once the worker count; still drawn so later draws are unchanged
+		req := &EstimateRequest{Top: top, Samples: randFreezeSamples(rng)}
 		if rng.Intn(2) == 0 {
 			req.Sched = []core.SchedEvent{}
 		}

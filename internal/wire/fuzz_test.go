@@ -32,7 +32,7 @@ func fuzzSeeds() [][]byte {
 
 	seeds := [][]byte{
 		AppendEstimateRequest(nil, &EstimateRequest{}),
-		AppendEstimateRequest(nil, &EstimateRequest{Top: 5, Workers: 2, Samples: sampleSet()}),
+		withReserved(AppendEstimateRequest(nil, &EstimateRequest{Top: 5, Samples: sampleSet()}), 2),
 		AppendEstimateResponse(nil, &EstimateResponse{}),
 		AppendEstimateResponse(nil, &EstimateResponse{Model: "sha256:abc", Estimation: est}),
 		AppendSampleBatch(nil, &SampleBatch{TS: 1.5, Window: 3, Samples: sampleSet()}),

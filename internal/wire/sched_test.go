@@ -39,11 +39,10 @@ func combinedFixture() *core.CombinedReport {
 func TestEstimateRequestSchedRoundTrip(t *testing.T) {
 	req := &EstimateRequest{
 		Top:     3,
-		Workers: 2,
 		Samples: []core.Sample{{Metric: "m", T: 100, W: 50, M: 3, Window: 1}},
 		Sched:   schedFixture(),
 	}
-	got, err := DecodeEstimateRequest(AppendEstimateRequest(nil, req))
+	got, err := DecodeEstimateRequest(withReserved(AppendEstimateRequest(nil, req), 2))
 	if err != nil {
 		t.Fatal(err)
 	}

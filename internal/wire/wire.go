@@ -17,6 +17,19 @@
 // Payload primitives: strings are uint16-length-prefixed UTF-8 bytes;
 // floats are math.Float64bits little-endian; sample rows reference a
 // uint32-indexed metric dictionary written in first-appearance order.
+//
+// An estimate request payload is:
+//
+//	size  field
+//	8     top (int64; 0 returns every metric)
+//	8     reserved (uint64; encoders write 0, decoders read and discard it)
+//	n     metric dictionary and sample rows
+//	...   optional trailing sections (secSched)
+//
+// The reserved slot once carried a requested estimation worker count.
+// Estimation is serial now, so the slot is kept only to leave the frame
+// layout unchanged: frames from older encoders with any value there
+// decode exactly like frames with 0.
 // Every count is validated against the bytes remaining before any
 // allocation is sized from it, so adversarial lengths cannot make the
 // decoder over-allocate: allocations are bounded by the input size.
@@ -51,8 +64,8 @@ func IsBinMedia(v string) bool {
 type Msg byte
 
 const (
-	// MsgEstimateRequest is a POST /v1/estimate request body: top,
-	// workers, and the workload samples.
+	// MsgEstimateRequest is a POST /v1/estimate request body: top, a
+	// reserved slot, and the workload samples.
 	MsgEstimateRequest Msg = 1
 	// MsgEstimateResponse is a 200 /v1/estimate response body: the
 	// serving model ID and the estimation.
@@ -76,7 +89,6 @@ const MaxPayload = 64 << 20
 // EstimateRequest mirrors the JSON estimate request body.
 type EstimateRequest struct {
 	Top     int
-	Workers int
 	Samples []core.Sample
 	Sched   []core.SchedEvent
 }
@@ -230,7 +242,7 @@ const (
 func AppendEstimateRequest(dst []byte, req *EstimateRequest) []byte {
 	dst, start := appendHeader(dst, MsgEstimateRequest)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(req.Top)))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(req.Workers)))
+	dst = binary.LittleEndian.AppendUint64(dst, 0) // reserved slot
 	dst = appendSamples(dst, req.Samples)
 	// Sched section: optional and strictly trailing, so requests without
 	// scheduler events stay byte-identical to the pre-sched encoding.
@@ -602,10 +614,8 @@ func DecodeEstimateRequest(b []byte) (*EstimateRequest, error) {
 		return nil, err
 	}
 	r := &reader{b: p}
-	req := &EstimateRequest{
-		Top:     int(r.i64()),
-		Workers: int(r.i64()),
-	}
+	req := &EstimateRequest{Top: int(r.i64())}
+	r.i64() // reserved slot: read and discarded
 	req.Samples = r.samples()
 	// Optional trailing sections; an exhausted payload is the flat
 	// (zero-sched) encoding.

@@ -41,23 +41,40 @@ func samplesEqual(t *testing.T, got, want []core.Sample) {
 	}
 }
 
+// withReserved overwrites an estimate request frame's reserved u64, the
+// slot older encoders filled with a worker count.
+func withReserved(frame []byte, v int64) []byte {
+	binary.LittleEndian.PutUint64(frame[HeaderSize+8:], uint64(v))
+	return frame
+}
+
+// TestEstimateRequestRoundTrip: requests round-trip, and a nonzero
+// reserved slot from an older encoder is read, discarded, and written
+// back as 0.
 func TestEstimateRequestRoundTrip(t *testing.T) {
-	cases := []EstimateRequest{
+	cases := []struct {
+		in       EstimateRequest
+		reserved int64
+	}{
 		{},
-		{Top: 10, Workers: 4, Samples: sampleSet()},
-		{Top: -1, Workers: -3, Samples: sampleSet()[:1]},
+		{EstimateRequest{Top: 10, Samples: sampleSet()}, 4},
+		{EstimateRequest{Top: -1, Samples: sampleSet()[:1]}, -3},
 	}
-	for i, in := range cases {
-		b := AppendEstimateRequest(nil, &in)
+	for i, c := range cases {
+		want := AppendEstimateRequest(nil, &c.in)
+		if got := binary.LittleEndian.Uint64(want[HeaderSize+8:]); got != 0 {
+			t.Fatalf("case %d: encoder wrote %d into the reserved slot", i, got)
+		}
+		b := withReserved(bytes.Clone(want), c.reserved)
 		out, err := DecodeEstimateRequest(b)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
-		if out.Top != in.Top || out.Workers != in.Workers {
-			t.Fatalf("case %d: got top=%d workers=%d, want %d/%d", i, out.Top, out.Workers, in.Top, in.Workers)
+		if out.Top != c.in.Top {
+			t.Fatalf("case %d: got top=%d, want %d", i, out.Top, c.in.Top)
 		}
-		samplesEqual(t, out.Samples, in.Samples)
-		if again := AppendEstimateRequest(nil, out); !bytes.Equal(again, b) {
+		samplesEqual(t, out.Samples, c.in.Samples)
+		if again := AppendEstimateRequest(nil, out); !bytes.Equal(again, want) {
 			t.Fatalf("case %d: re-encode differs from original encode", i)
 		}
 	}
