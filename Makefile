@@ -11,7 +11,7 @@ COVER_roofline  ?= 85.0 ./internal/roofline/ ./internal/workloads/
 COVER_waitgraph ?= 85.0 ./internal/waitgraph/ ./internal/analysis/
 COVER_GATES := core serve stream cluster roofline waitgraph
 
-.PHONY: all build test vet lint race cover $(addprefix cover-,$(COVER_GATES)) smoke fuzz fuzz-short chaos chaos-cluster bench-gate verify clean
+.PHONY: all build test vet lint race cover $(addprefix cover-,$(COVER_GATES)) smoke fuzz fuzz-short chaos chaos-cluster bench-gate bench-build verify clean
 
 # Pinned linter versions, fetched on demand with `go run`. In an offline
 # environment (no module proxy) lint degrades to a warning + skip, so the
@@ -127,10 +127,16 @@ chaos-cluster:
 bench-gate:
 	BENCH_GATE=1 $(GO) test -run TestBenchGate -count=1 -timeout 600s .
 
+# spirebench/ is a separate Go module, so `go build ./...` never compiles
+# it; vet and build it here so an internal API change cannot silently
+# break the serving benchmark.
+bench-build:
+	cd spirebench && $(GO) vet ./... && $(GO) build -o /dev/null .
+
 # The full verification gate: build, static checks, tests, race tests,
 # the coverage floors, the serving smoke, the chaos soak, a short fuzz
-# smoke, and the benchmark regression gate.
-verify: build vet lint test race cover smoke chaos chaos-cluster fuzz-short bench-gate
+# smoke, the benchmark regression gate and the benchmark module build.
+verify: build vet lint test race cover smoke chaos chaos-cluster fuzz-short bench-gate bench-build
 
 clean:
 	$(GO) clean ./...

@@ -365,24 +365,19 @@ type EstimateResult struct {
 func (c *Client) Estimate(ctx context.Context, samples []core.Sample, opts EstimateOptions) (*EstimateResult, error) {
 	var (
 		reqBody []byte
-		ct      = "application/json"
+		ct      = wire.ContentTypeJSON
 		accept  string
 		err     error
 	)
+	req := &wire.EstimateRequest{Samples: samples, Top: opts.Top, Sched: opts.Sched}
 	switch opts.Wire {
 	case "", WireJSON:
-		reqBody, err = json.Marshal(struct {
-			Samples []core.Sample     `json:"samples"`
-			Top     int               `json:"top,omitempty"`
-			Sched   []core.SchedEvent `json:"sched,omitempty"`
-		}{samples, opts.Top, opts.Sched})
+		reqBody, err = json.Marshal(req)
 		if err != nil {
 			return nil, err
 		}
 	case WireBin:
-		reqBody = wire.AppendEstimateRequest(nil, &wire.EstimateRequest{
-			Top: opts.Top, Samples: samples, Sched: opts.Sched,
-		})
+		reqBody = wire.AppendEstimateRequest(nil, req)
 		ct = wire.ContentTypeBin
 		accept = wire.ContentTypeBin
 	default:
@@ -394,32 +389,23 @@ func (c *Client) Estimate(ctx context.Context, samples []core.Sample, opts Estim
 	if err != nil {
 		return nil, err
 	}
-	degraded := res.header.Get("X-Spire-Degraded") != ""
+	var body *wire.EstimateResponse
 	if res.status == http.StatusOK && wire.IsBinMedia(res.header.Get("Content-Type")) {
-		wres, err := wire.DecodeEstimateResponse(res.body)
-		if err != nil {
+		if body, err = wire.DecodeEstimateResponse(res.body); err != nil {
 			return nil, fmt.Errorf("decoding binary response: %w", err)
 		}
-		return &EstimateResult{
-			Model:      wres.Model,
-			Estimation: wres.Estimation,
-			Degraded:   degraded,
-			Raw:        res.body,
-		}, nil
-	}
-	// JSON response: the default, and also every error body (errors are
-	// JSON regardless of the negotiated wire format).
-	var body struct {
-		Model      string           `json:"model"`
-		Estimation *core.Estimation `json:"estimation"`
-	}
-	if err := decodeAPI(res, &body); err != nil {
-		return nil, err
+	} else {
+		// JSON response: the default, and also every error body (errors
+		// are JSON regardless of the negotiated wire format).
+		body = new(wire.EstimateResponse)
+		if err := decodeAPI(res, body); err != nil {
+			return nil, err
+		}
 	}
 	return &EstimateResult{
 		Model:      body.Model,
 		Estimation: body.Estimation,
-		Degraded:   degraded,
+		Degraded:   res.header.Get("X-Spire-Degraded") != "",
 		Raw:        res.body,
 	}, nil
 }

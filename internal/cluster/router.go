@@ -402,7 +402,9 @@ func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	key := ""
 	upstreamBody := body
 	upstreamCT := r.Header.Get("Content-Type")
-	if req, err := decodeEstimate(body, upstreamCT); err == nil && len(req.Samples) > 0 {
+	// The same reader the shard uses, so a body the shard would reject
+	// fails here too and is forwarded raw instead.
+	if req, err := wire.ReadEstimateRequest(bytes.NewBuffer(body), upstreamCT); err == nil && len(req.Samples) > 0 {
 		key = engine.WorkloadKey(req.Samples)
 		upstreamBody = wire.AppendEstimateRequest(nil, req)
 		upstreamCT = wire.ContentTypeBin
@@ -422,32 +424,6 @@ func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		Tenant:      r.Header.Get(client.TenantHeader),
 		Idempotent:  true,
 	})
-}
-
-// decodeEstimate parses an estimate body in either wire format into the
-// binary request shape.
-func decodeEstimate(body []byte, contentType string) (*wire.EstimateRequest, error) {
-	if wire.IsBinMedia(contentType) {
-		return wire.DecodeEstimateRequest(body)
-	}
-	var req struct {
-		Samples []core.Sample     `json:"samples"`
-		Top     int               `json:"top"`
-		Sched   []core.SchedEvent `json:"sched"`
-	}
-	// Mirror serve's decodeQuiet strictness exactly (unknown fields
-	// tolerated, trailing data rejected): a body serve would reject must
-	// fail here too, falling back to raw forwarding so the shard's
-	// canonical error — identical to a single node's — reaches the
-	// client.
-	dec := json.NewDecoder(bytes.NewReader(body))
-	if err := dec.Decode(&req); err != nil {
-		return nil, err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, errors.New("trailing data after JSON body")
-	}
-	return &wire.EstimateRequest{Top: req.Top, Samples: req.Samples, Sched: req.Sched}, nil
 }
 
 // handleIngest routes a stateless parse by body content hash.

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"spire/internal/core"
+	"spire/internal/lru"
 	"spire/internal/metrics"
 )
 
@@ -49,7 +50,14 @@ type Options struct {
 // concurrent use by any number of goroutines; construct one per process
 // (or use Default) so the cache is actually shared.
 type Engine struct {
-	cache *indexCache
+	// cache holds pre-indexed workloads keyed by the content hash of
+	// their sample set. Estimations that resend the same workload
+	// (dashboards polling a service, diff loops, per-window timeline
+	// passes, retries) skip the group-and-derive indexing pass entirely;
+	// a cached *core.WorkloadIndex is immutable and shared by concurrent
+	// readers. The key is independent of any model, so cached indexes
+	// survive model hot-swaps.
+	cache *lru.Cache[string, *core.WorkloadIndex]
 
 	mEstimates   *metrics.Counter
 	mSamples     *metrics.Counter
@@ -68,7 +76,7 @@ func New(opts Options) *Engine {
 		reg = metrics.NewRegistry()
 	}
 	return &Engine{
-		cache: newIndexCache(opts.CacheEntries),
+		cache: lru.New[string, *core.WorkloadIndex](opts.CacheEntries),
 
 		mEstimates:   reg.Counter("spire_engine_estimates_total", "Estimations completed by the engine."),
 		mSamples:     reg.Counter("spire_engine_samples_total", "Indexed samples evaluated by completed estimations."),
@@ -96,14 +104,14 @@ func Default() *Engine {
 // the lookup hit.
 func (e *Engine) Index(samples []core.Sample) (*core.WorkloadIndex, bool) {
 	key := workloadKey(samples)
-	ix, hit := e.cache.get(key)
+	ix, hit := e.cache.Get(key)
 	if hit {
 		e.mCacheHits.Inc()
 		return ix, true
 	}
 	e.mCacheMisses.Inc()
 	ix = core.IndexWorkload(core.Dataset{Samples: samples})
-	e.cache.put(key, ix)
+	e.cache.Put(key, ix)
 	return ix, false
 }
 
@@ -132,7 +140,7 @@ func (e *Engine) EstimateIndexed(ctx context.Context, ens *core.Ensemble, ix *co
 }
 
 // CacheLen reports how many workload indexes are currently cached.
-func (e *Engine) CacheLen() int { return e.cache.len() }
+func (e *Engine) CacheLen() int { return e.cache.Len() }
 
 // WorkloadKey is the engine's content hash of a sample set — the same
 // key the index LRU uses. The serving tier keys its degraded-mode

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"spire/internal/core"
+	"spire/internal/lru"
 	"spire/internal/metrics"
 )
 
@@ -113,22 +114,22 @@ func TestCacheDisabled(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := newIndexCache(2)
+	c := lru.New[string, *core.WorkloadIndex](2)
 	ix := core.IndexWorkload(testWorkload(4, 3))
-	c.put("k1", ix)
-	c.put("k2", ix)
-	if _, ok := c.get("k1"); !ok {
+	c.Put("k1", ix)
+	c.Put("k2", ix)
+	if _, ok := c.Get("k1"); !ok {
 		t.Fatal("k1 should be cached")
 	}
-	c.put("k3", ix) // evicts k2 (k1 was refreshed by the get)
-	if _, ok := c.get("k2"); ok {
+	c.Put("k3", ix) // evicts k2 (k1 was refreshed by the get)
+	if _, ok := c.Get("k2"); ok {
 		t.Fatal("k2 should have been evicted")
 	}
-	if _, ok := c.get("k1"); !ok {
+	if _, ok := c.Get("k1"); !ok {
 		t.Fatal("k1 should have survived")
 	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
+	if c.Len() != 2 {
+		t.Fatalf("len = %d, want 2", c.Len())
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"spire/internal/core"
+	"spire/internal/lru"
 	"spire/internal/testutil"
 )
 
@@ -372,29 +373,29 @@ func TestReadyz(t *testing.T) {
 
 // TestRespCacheLRU pins the degraded-cache bounds and eviction order.
 func TestRespCacheLRU(t *testing.T) {
-	c := newRespCache(2)
-	c.put("a", []byte("A"))
-	c.put("b", []byte("B"))
-	if _, ok := c.get("a"); !ok { // refresh a: b is now LRU
+	c := lru.New[string, []byte](2)
+	c.Put("a", []byte("A"))
+	c.Put("b", []byte("B"))
+	if _, ok := c.Get("a"); !ok { // refresh a: b is now LRU
 		t.Fatal("a missing")
 	}
-	c.put("c", []byte("C"))
-	if _, ok := c.get("b"); ok {
+	c.Put("c", []byte("C"))
+	if _, ok := c.Get("b"); ok {
 		t.Error("b should have been evicted (LRU)")
 	}
-	if v, ok := c.get("a"); !ok || string(v) != "A" {
+	if v, ok := c.Get("a"); !ok || string(v) != "A" {
 		t.Error("a lost")
 	}
-	if v, ok := c.get("c"); !ok || string(v) != "C" {
+	if v, ok := c.Get("c"); !ok || string(v) != "C" {
 		t.Error("c lost")
 	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
+	if c.Len() != 2 {
+		t.Errorf("len = %d, want 2", c.Len())
 	}
 
-	off := newRespCache(-1)
-	off.put("x", []byte("X"))
-	if _, ok := off.get("x"); ok {
+	off := lru.New[string, []byte](-1)
+	off.Put("x", []byte("X"))
+	if _, ok := off.Get("x"); ok {
 		t.Error("disabled cache must not store")
 	}
 }

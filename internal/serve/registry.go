@@ -2,11 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,18 +95,32 @@ func (r *Registry) History() []ModelInfo {
 // decode cleanly, and satisfy every roofline invariant; anything else is
 // rejected with a *modelRejectedError and the served model is untouched.
 func (r *Registry) Load(src io.Reader, source string) (*ModelInfo, error) {
+	ens, id, err := decodeModel(src)
+	if err != nil {
+		return nil, err
+	}
+	return r.install(ens, id, source)
+}
+
+// decodeModel decodes and validates a model, returning it with its
+// fingerprint; failures are *modelRejectedError.
+func decodeModel(src io.Reader) (*core.Ensemble, string, error) {
 	ens, err := core.LoadEnsemble(src)
 	if err != nil {
-		return nil, &modelRejectedError{err}
+		return nil, "", &modelRejectedError{err}
 	}
 	if err := ens.CheckInvariants(); err != nil {
-		return nil, &modelRejectedError{err}
+		return nil, "", &modelRejectedError{err}
 	}
 	id, err := ens.Fingerprint()
 	if err != nil {
-		return nil, &modelRejectedError{fmt.Errorf("model is not re-encodable: %w", err)}
+		return nil, "", &modelRejectedError{fmt.Errorf("model is not re-encodable: %w", err)}
 	}
+	return ens, id, nil
+}
 
+// install atomically swaps in a validated model and persists it.
+func (r *Registry) install(ens *core.Ensemble, id, source string) (*ModelInfo, error) {
 	r.mu.Lock()
 	r.seq++
 	info := ModelInfo{
@@ -146,15 +163,19 @@ func (r *Registry) LoadFile(path string) (*ModelInfo, error) {
 	return r.Load(f, "file:"+filepath.Base(path))
 }
 
-// persist writes the canonical encoding to dir/<id>.json atomically
-// (temp file + rename).
+// persist writes the canonical encoding to dir/<id>.json atomically:
+// temp file, fsync, rename, fsync of the directory. A final file that is
+// already there is kept only if its bytes still hash to its name; a torn
+// or garbled one is rewritten.
 func (r *Registry) persist(ens *core.Ensemble, id string) error {
 	if err := os.MkdirAll(r.dir, 0o755); err != nil {
 		return err
 	}
 	final := filepath.Join(r.dir, id+".json")
-	if _, err := os.Stat(final); err == nil {
-		return nil // content-addressed: already on disk
+	if b, err := os.ReadFile(final); err == nil {
+		if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) == id {
+			return nil // content-addressed: already on disk, intact
+		}
 	}
 	var buf bytes.Buffer
 	if err := ens.Save(&buf); err != nil {
@@ -164,20 +185,45 @@ func (r *Registry) persist(ens *core.Ensemble, id string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(buf.Bytes())
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = syncDir(r.dir)
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), final)
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), final)
+	return syncDir(r.dir)
 }
 
-// LoadLatestFromDir installs the most recently modified *.json model in
-// dir, if any. Used at startup to resume a persisted registry.
+// syncDir fsyncs a directory so the entries created or renamed in it
+// survive a crash.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// LoadLatestFromDir resumes a persisted registry at startup: it installs
+// the most recently modified dir/<id>.json that decodes, validates and
+// whose fingerprint equals its <id>, trying older files when a newer one
+// is torn or garbled. It returns nil when dir holds no model file, and
+// the newest file's error when none of them is usable.
 func (r *Registry) LoadLatestFromDir() (*ModelInfo, error) {
 	if r.dir == "" {
 		return nil, nil
@@ -190,7 +236,7 @@ func (r *Registry) LoadLatestFromDir() (*ModelInfo, error) {
 		return nil, err
 	}
 	type cand struct {
-		path string
+		name string
 		mod  time.Time
 	}
 	var cands []cand
@@ -202,18 +248,43 @@ func (r *Registry) LoadLatestFromDir() (*ModelInfo, error) {
 		if err != nil {
 			continue
 		}
-		cands = append(cands, cand{path: filepath.Join(r.dir, e.Name()), mod: fi.ModTime()})
-	}
-	if len(cands) == 0 {
-		return nil, nil
+		cands = append(cands, cand{name: e.Name(), mod: fi.ModTime()})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if !cands[i].mod.Equal(cands[j].mod) {
 			return cands[i].mod.After(cands[j].mod)
 		}
-		return cands[i].path < cands[j].path
+		return cands[i].name < cands[j].name
 	})
-	return r.LoadFile(cands[0].path)
+	var firstErr error
+	for _, c := range cands {
+		ens, id, err := r.loadCandidate(c.name)
+		if err == nil {
+			return r.install(ens, id, "file:"+c.name)
+		}
+		if firstErr == nil {
+			firstErr = fmt.Errorf("%s: %w", c.name, err)
+		}
+	}
+	return nil, firstErr
+}
+
+// loadCandidate decodes and validates dir/name, requiring the model's
+// fingerprint to equal the ID its file name claims.
+func (r *Registry) loadCandidate(name string) (*core.Ensemble, string, error) {
+	f, err := os.Open(filepath.Join(r.dir, name))
+	if err != nil {
+		return nil, "", err
+	}
+	defer f.Close()
+	ens, id, err := decodeModel(f)
+	if err != nil {
+		return nil, "", err
+	}
+	if want := strings.TrimSuffix(name, ".json"); id != want {
+		return nil, "", fmt.Errorf("fingerprint %s does not match file name", shortID(id))
+	}
+	return ens, id, nil
 }
 
 // shortID abbreviates a fingerprint for log lines.

@@ -22,10 +22,10 @@
 //	GET  /debug/pprof  optional, Config.EnablePprof
 //
 // Estimate bodies and stream feeds may use the SPB1 binary wire format
-// (internal/wire) instead of JSON/CSV: Content-Type
-// application/x-spire-bin selects binary request decoding, Accept
-// selects binary estimate responses. Binary is strictly opt-in per
-// message and error responses stay JSON.
+// instead of JSON/CSV: Content-Type application/x-spire-bin selects
+// binary request decoding, Accept selects binary estimate responses.
+// Binary is strictly opt-in per message and error responses stay JSON.
+// The estimate schema and that negotiation live in internal/wire.
 //
 // Overload safety: the estimation path sits behind internal/admission —
 // a bounded-concurrency gate with a short deadline-aware wait queue,
@@ -58,7 +58,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -68,6 +67,7 @@ import (
 	"spire/internal/core"
 	"spire/internal/engine"
 	"spire/internal/ingest"
+	"spire/internal/lru"
 	"spire/internal/metrics"
 	"spire/internal/stream"
 	"spire/internal/wire"
@@ -161,7 +161,7 @@ type Server struct {
 	handler  http.Handler
 	hub      *stream.Hub
 	adm      *admission.Controller
-	resp     *respCache
+	resp     *lru.Cache[string, []byte] // degraded-mode responses by respKey
 	draining atomic.Bool
 
 	mEstimates   *metrics.Counter
@@ -202,7 +202,7 @@ func New(cfg Config) *Server {
 		TenantBurst:   cfg.TenantBurst,
 		Metrics:       reg,
 	})
-	s.resp = newRespCache(cfg.DegradedCache)
+	s.resp = lru.New[string, []byte](cfg.DegradedCache)
 	s.models.onSwap = func(info ModelInfo) {
 		s.mSwaps.Inc()
 		s.mModelSize.Set(float64(info.Metrics))
@@ -347,22 +347,6 @@ func writeRaw(w http.ResponseWriter, code int, raw []byte, contentType string) {
 	w.Write(raw)
 }
 
-// isBinMedia reports whether an HTTP media-type header value selects the
-// SPB1 binary wire format; error responses are always JSON regardless.
-func isBinMedia(v string) bool { return wire.IsBinMedia(v) }
-
-// acceptsBin reports whether the Accept header opts the response into
-// SPB1. Absent or anything else (including */*) stays JSON — binary is
-// strictly opt-in.
-func acceptsBin(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
-		if isBinMedia(part) {
-			return true
-		}
-	}
-	return false
-}
-
 // writeIfTooBig maps the body-cap error to the uniform 413 response.
 // Every route funnels its MaxBytesReader failure through here, so the
 // admission layer has a single body-limit choke point. Reports whether
@@ -374,22 +358,6 @@ func writeIfTooBig(w http.ResponseWriter, err error) bool {
 	}
 	writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
 	return true
-}
-
-// decodeQuiet strictly decodes one JSON value from the (size-capped)
-// body without writing a response, for paths that decide the status
-// themselves (a shed request is answered 429 whether or not its body
-// parses).
-func decodeQuiet(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	// Trailing garbage after the value is a malformed request too.
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("trailing data after JSON body")
-	}
-	return nil
 }
 
 // defaultTenant is the quota bucket for requests without an explicit
@@ -416,38 +384,24 @@ func writeRejected(w http.ResponseWriter, err error) {
 	writeErr(w, http.StatusTooManyRequests, "overloaded: %v", re)
 }
 
-// EstimateRequest is the /v1/estimate request body. Samples use the
-// core.Sample JSON shape ({"metric","t","w","m","window"}). Unknown
-// fields are ignored, including the "workers" field older clients send.
-type EstimateRequest struct {
-	Samples []core.Sample `json:"samples"`
-	// Top truncates the returned per-metric ranking; 0 returns all.
-	Top int `json:"top,omitempty"`
-	// Sched optionally carries the workload's scheduler events; when
-	// present the response's estimation includes the combined
-	// on-CPU/off-CPU report.
-	Sched []core.SchedEvent `json:"sched,omitempty"`
-}
+// EstimateRequest is the /v1/estimate request body (wire owns it).
+type EstimateRequest = wire.EstimateRequest
 
-// EstimateResponse is the /v1/estimate response body.
-type EstimateResponse struct {
-	// Model is the serving model's content-addressed version ID.
-	Model string `json:"model"`
-	// Estimation is the full estimation result; identical to what
-	// `spire analyze -json` prints for the same samples and model.
-	Estimation *core.Estimation `json:"estimation"`
-}
+// EstimateResponse is the /v1/estimate response body (wire owns it).
+type EstimateResponse = wire.EstimateResponse
 
-// respKey keys the degraded-mode response cache: same model, same
-// workload content hash, same truncation, same wire format, same
-// scheduler events -> byte-identical response. schedKey is "" for
-// requests without scheduler events, keeping zero-sched keys identical
-// to the pre-sched encoding.
-func respKey(modelID, workloadKey string, top int, bin bool, schedKey string) string {
-	k := modelID + "\x00" + workloadKey + "\x00" + strconv.Itoa(top)
-	if bin {
-		k += "\x00bin"
-	}
+// respKey keys the degraded-mode response cache (Server.resp), which
+// holds recent marshaled /v1/estimate bodies for the saturated fast
+// path: when admission sheds a request, a workload whose exact response
+// was computed recently under the current model is still served,
+// byte-identical (estimation is deterministic), without touching the
+// estimation path. Same model, same workload content hash, same
+// truncation, same response content type, same scheduler events ->
+// byte-identical response, so a hot-swap invalidates everything and
+// stale entries age out. schedKey is "" for requests without scheduler
+// events.
+func respKey(modelID, workloadKey string, top int, contentType, schedKey string) string {
+	k := modelID + "\x00" + workloadKey + "\x00" + strconv.Itoa(top) + "\x00" + contentType
 	if schedKey != "" {
 		k += "\x00" + schedKey
 	}
@@ -480,28 +434,6 @@ func schedKey(events []core.SchedEvent) string {
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 
-// decodeEstimateRequest decodes the estimate body in whichever wire
-// format the request declares: SPB1 when Content-Type is
-// application/x-spire-bin, strict JSON otherwise.
-func (s *Server) decodeEstimateRequest(r *http.Request) (*EstimateRequest, error) {
-	if isBinMedia(r.Header.Get("Content-Type")) {
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			return nil, err
-		}
-		wreq, err := wire.DecodeEstimateRequest(body)
-		if err != nil {
-			return nil, err
-		}
-		return &EstimateRequest{Samples: wreq.Samples, Top: wreq.Top, Sched: wreq.Sched}, nil
-	}
-	var req EstimateRequest
-	if err := decodeQuiet(r, &req); err != nil {
-		return nil, err
-	}
-	return &req, nil
-}
-
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	ens, info := s.models.Current()
 	if ens == nil {
@@ -523,7 +455,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	req, derr := s.decodeEstimateRequest(r)
+	req, derr := wire.ReadEstimateRequest(r.Body, r.Header.Get("Content-Type"))
 	if derr != nil {
 		if !writeIfTooBig(w, derr) {
 			writeErr(w, http.StatusBadRequest, "malformed request body: %v", derr)
@@ -574,24 +506,13 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		}
 		est.Combined = combined
 	}
-	var (
-		raw []byte
-		ct  = "application/json"
-	)
-	wantBin := acceptsBin(r)
-	if wantBin {
-		ct = wire.ContentTypeBin
-		raw = wire.AppendEstimateResponse(nil, &wire.EstimateResponse{Model: info.ID, Estimation: est})
-	} else {
-		raw, err = json.Marshal(EstimateResponse{Model: info.ID, Estimation: est})
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, "response encoding failed")
-			return
-		}
-		raw = append(raw, '\n')
+	raw, ct, err := wire.EncodeEstimateResponse(&EstimateResponse{Model: info.ID, Estimation: est}, r.Header.Get("Accept"))
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "response encoding failed")
+		return
 	}
 	// Remember the exact bytes for the saturated fast path.
-	s.resp.put(respKey(info.ID, engine.WorkloadKey(req.Samples), req.Top, wantBin, schedKey(req.Sched)), raw)
+	s.resp.Put(respKey(info.ID, engine.WorkloadKey(req.Samples), req.Top, ct, schedKey(req.Sched)), raw)
 	s.mEstimates.Inc()
 	if h := est.Hierarchy; h != nil {
 		// Lazily registered so flat deployments expose exactly the
@@ -608,13 +529,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 // from cache (byte-identical, marked X-Spire-Degraded), anything else is
 // a 429 with Retry-After.
 func (s *Server) degradeOrReject(w http.ResponseWriter, r *http.Request, modelID string, aerr error) {
-	if req, err := s.decodeEstimateRequest(r); err == nil && len(req.Samples) > 0 {
-		wantBin := acceptsBin(r)
-		if raw, ok := s.resp.get(respKey(modelID, engine.WorkloadKey(req.Samples), req.Top, wantBin, schedKey(req.Sched))); ok {
-			ct := "application/json"
-			if wantBin {
-				ct = wire.ContentTypeBin
-			}
+	if req, err := wire.ReadEstimateRequest(r.Body, r.Header.Get("Content-Type")); err == nil && len(req.Samples) > 0 {
+		ct := wire.ResponseType(r.Header.Get("Accept"))
+		if raw, ok := s.resp.Get(respKey(modelID, engine.WorkloadKey(req.Samples), req.Top, ct, schedKey(req.Sched))); ok {
 			w.Header().Set("X-Spire-Model", modelID)
 			w.Header().Set("X-Spire-Degraded", "cache")
 			s.mDegraded.Inc()

@@ -37,7 +37,7 @@ func (s *Server) handleStreamPost(w http.ResponseWriter, r *http.Request) {
 		writeRejected(w, err)
 		return
 	}
-	if isBinMedia(r.Header.Get("Content-Type")) {
+	if wire.IsBinMedia(r.Header.Get("Content-Type")) {
 		s.handleStreamPostBin(w, r)
 		return
 	}

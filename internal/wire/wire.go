@@ -1,10 +1,15 @@
-// Package wire implements SPB1, spire's compact length-prefixed binary
-// wire format for the estimation API and the stream feed. It exists for
-// the hot serving loop: a JSON estimate request re-encodes every float
-// in decimal and repeats every metric name per sample, while SPB1 ships
-// raw IEEE-754 bits (NaN payloads preserved) against a per-message
-// metric dictionary, decoding with two small allocations and no
-// reflection.
+// Package wire owns the /v1/estimate schema in both of its encodings —
+// JSON and SPB1 — and the HTTP format negotiation between them. Serve,
+// the `spire route` router and the Go client all decode requests with
+// ReadEstimateRequest and encode responses with EncodeEstimateResponse,
+// so a field or a strictness rule is defined here once.
+//
+// SPB1 is spire's compact length-prefixed binary format for the
+// estimation API and the stream feed. It exists for the hot serving
+// loop: a JSON estimate request re-encodes every float in decimal and
+// repeats every metric name per sample, while SPB1 ships raw IEEE-754
+// bits (NaN payloads preserved) against a per-message metric
+// dictionary, decoding with two small allocations and no reflection.
 //
 // Framing, all integers little-endian:
 //
@@ -36,8 +41,12 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 
@@ -49,6 +58,10 @@ import (
 // in per message (Content-Type) and per response (Accept).
 const ContentTypeBin = "application/x-spire-bin"
 
+// ContentTypeJSON is the default /v1/estimate encoding, and the only one
+// error responses use.
+const ContentTypeJSON = "application/json"
+
 // IsBinMedia reports whether one HTTP media-type value (one Accept
 // element or a Content-Type) selects SPB1. Parameters after ';' are
 // ignored. Anything else — including */* — is not binary: the format is
@@ -58,6 +71,62 @@ func IsBinMedia(v string) bool {
 		v = v[:i]
 	}
 	return strings.TrimSpace(v) == ContentTypeBin
+}
+
+// ResponseType negotiates an estimate response's Content-Type from the
+// request's Accept header: ContentTypeBin when any element selects SPB1,
+// ContentTypeJSON otherwise (absent, */*, anything else).
+func ResponseType(accept string) string {
+	for _, part := range strings.Split(accept, ",") {
+		if IsBinMedia(part) {
+			return ContentTypeBin
+		}
+	}
+	return ContentTypeJSON
+}
+
+// ReadEstimateRequest decodes one /v1/estimate request body in the
+// format contentType declares. SPB1 is read whole and decoded; a
+// *bytes.Buffer body is decoded in place, without a copy. JSON is
+// decoded streaming from body: unknown fields are ignored (among them
+// the "workers" field older clients send) and trailing data after the
+// value is an error. Read errors, http.MaxBytesError included, come back
+// unwrapped.
+func ReadEstimateRequest(body io.Reader, contentType string) (*EstimateRequest, error) {
+	if IsBinMedia(contentType) {
+		if buf, ok := body.(*bytes.Buffer); ok {
+			return DecodeEstimateRequest(buf.Bytes())
+		}
+		raw, err := io.ReadAll(body)
+		if err != nil {
+			return nil, err
+		}
+		return DecodeEstimateRequest(raw)
+	}
+	req := new(EstimateRequest)
+	dec := json.NewDecoder(body)
+	if err := dec.Decode(req); err != nil {
+		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("trailing data after JSON body")
+	}
+	return req, nil
+}
+
+// EncodeEstimateResponse renders res as a 200 /v1/estimate body in the
+// format the Accept header negotiates (see ResponseType) and returns it
+// with its Content-Type. The JSON form is json.Marshal plus a newline.
+func EncodeEstimateResponse(res *EstimateResponse, accept string) ([]byte, string, error) {
+	ct := ResponseType(accept)
+	if ct == ContentTypeBin {
+		return AppendEstimateResponse(nil, res), ct, nil
+	}
+	raw, err := json.Marshal(res)
+	if err != nil {
+		return nil, ct, err
+	}
+	return append(raw, '\n'), ct, nil
 }
 
 // Msg identifies a frame's message type.
@@ -86,17 +155,25 @@ const HeaderSize = 9
 // server's request-size limit.
 const MaxPayload = 64 << 20
 
-// EstimateRequest mirrors the JSON estimate request body.
+// EstimateRequest is the /v1/estimate request body. Samples use the
+// core.Sample JSON shape ({"metric","t","w","m","window"}).
 type EstimateRequest struct {
-	Top     int
-	Samples []core.Sample
-	Sched   []core.SchedEvent
+	Samples []core.Sample `json:"samples"`
+	// Top truncates the returned per-metric ranking; 0 returns all.
+	Top int `json:"top,omitempty"`
+	// Sched optionally carries the workload's scheduler events; when
+	// present the response's estimation includes the combined
+	// on-CPU/off-CPU report.
+	Sched []core.SchedEvent `json:"sched,omitempty"`
 }
 
-// EstimateResponse mirrors the JSON estimate response body.
+// EstimateResponse is the 200 /v1/estimate response body.
 type EstimateResponse struct {
-	Model      string
-	Estimation *core.Estimation
+	// Model is the serving model's content-addressed version ID.
+	Model string `json:"model"`
+	// Estimation is the full estimation result; identical to what
+	// `spire analyze -json` prints for the same samples and model.
+	Estimation *core.Estimation `json:"estimation"`
 }
 
 // SampleBatch is one stream-feed interval, the binary twin of the CSV
