@@ -84,12 +84,13 @@ fuzz:
 	$(GO) test -fuzz FuzzPerfStatCSV -fuzztime 30s ./internal/ingest/
 
 # Quick fuzz smoke over every fuzz target (10s each): the batch and
-# incremental ingest parsers, the roofline fitter, the parallel trainer,
-# the model loader, the sliding-window merge, and the serving tier's
-# estimate handler and model-upload decoder.
+# incremental ingest parsers and their agreement, the roofline fitter,
+# the parallel trainer, the model loader, the sliding-window merge, and
+# the serving tier's estimate handler and model-upload decoder.
 fuzz-short:
 	$(GO) test -fuzz FuzzPerfStatCSV -fuzztime 10s ./internal/ingest/
 	$(GO) test -fuzz FuzzStreamFeed -fuzztime 10s ./internal/ingest/
+	$(GO) test -fuzz FuzzBatchStreamAgree -fuzztime 10s ./internal/ingest/
 	$(GO) test -fuzz FuzzFitRoofline -fuzztime 10s ./internal/core/
 	$(GO) test -fuzz FuzzTrainParallel -fuzztime 10s ./internal/core/
 	$(GO) test -fuzz FuzzLoadEnsemble -fuzztime 10s ./internal/core/

@@ -227,7 +227,7 @@ func (c *Client) do(ctx context.Context, method, path string, query string,
 	}
 	replayable := getBody != nil || method == http.MethodGet
 	for attempt := 1; ; attempt++ {
-		res := c.attempt(ctx, method, url, getBody, contentType, accept)
+		res := c.attempt(ctx, method, url, getBody, contentType, accept, "")
 		if res.err == nil && !retryableStatus(res.status) {
 			return res, nil // success or a definitive (non-retryable) answer
 		}
@@ -260,9 +260,10 @@ func (c *Client) do(ctx context.Context, method, path string, query string,
 	}
 }
 
-// attempt runs exactly one HTTP exchange.
+// attempt runs exactly one HTTP exchange. A nil getBody sends no body;
+// a non-empty tenant overrides the configured one for this call.
 func (c *Client) attempt(ctx context.Context, method, url string,
-	getBody func() (io.Reader, error), contentType, accept string) *result {
+	getBody func() (io.Reader, error), contentType, accept, tenant string) *result {
 
 	var body io.Reader
 	if getBody != nil {
@@ -282,8 +283,11 @@ func (c *Client) attempt(ctx context.Context, method, url string,
 	if accept != "" {
 		req.Header.Set("Accept", accept)
 	}
-	if c.cfg.Tenant != "" {
-		req.Header.Set(TenantHeader, c.cfg.Tenant)
+	if tenant == "" {
+		tenant = c.cfg.Tenant
+	}
+	if tenant != "" {
+		req.Header.Set(TenantHeader, tenant)
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
@@ -501,7 +505,7 @@ func BytesBody(b []byte) func() (io.Reader, error) {
 // /readyz). Single attempt: readiness probes are themselves the retry
 // loop.
 func (c *Client) Readyz(ctx context.Context) (bool, error) {
-	res := c.attempt(ctx, http.MethodGet, c.cfg.BaseURL+"/readyz", nil, "", "")
+	res := c.attempt(ctx, http.MethodGet, c.cfg.BaseURL+"/readyz", nil, "", "", "")
 	if res.err != nil {
 		return false, res.err
 	}

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -65,8 +64,12 @@ func (c *Client) DoRaw(ctx context.Context, req RawRequest) (*RawResponse, error
 	if req.Query != "" {
 		url += "?" + req.Query
 	}
+	var getBody func() (io.Reader, error)
+	if req.Body != nil {
+		getBody = BytesBody(req.Body)
+	}
 	for attempt := 1; ; attempt++ {
-		res := c.rawAttempt(ctx, method, url, req)
+		res := c.attempt(ctx, method, url, getBody, req.ContentType, req.Accept, req.Tenant)
 		if res.err == nil {
 			return &RawResponse{Status: res.status, Header: res.header, Body: res.body, RetryAfter: res.retryAfter}, nil
 		}
@@ -90,41 +93,4 @@ func (c *Client) DoRaw(ctx context.Context, req RawRequest) (*RawResponse, error
 		case <-timer.C:
 		}
 	}
-}
-
-// rawAttempt is one exchange with per-call header overrides.
-func (c *Client) rawAttempt(ctx context.Context, method, url string, rr RawRequest) *result {
-	var req *http.Request
-	var err error
-	if rr.Body != nil {
-		req, err = http.NewRequestWithContext(ctx, method, url, bytes.NewReader(rr.Body))
-	} else {
-		req, err = http.NewRequestWithContext(ctx, method, url, nil)
-	}
-	if err != nil {
-		return &result{err: err}
-	}
-	if rr.ContentType != "" {
-		req.Header.Set("Content-Type", rr.ContentType)
-	}
-	if rr.Accept != "" {
-		req.Header.Set("Accept", rr.Accept)
-	}
-	tenant := rr.Tenant
-	if tenant == "" {
-		tenant = c.cfg.Tenant
-	}
-	if tenant != "" {
-		req.Header.Set(TenantHeader, tenant)
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return &result{err: err}
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return &result{err: fmt.Errorf("reading response: %w", err)}
-	}
-	return &result{status: resp.StatusCode, header: resp.Header, body: raw, retryAfter: retryAfterOf(resp)}
 }

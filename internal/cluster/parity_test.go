@@ -241,6 +241,7 @@ func TestClusterParityIngest(t *testing.T) {
 		{"csv-small", "text/csv", csv(2)},
 		{"csv-large", "text/csv", csv(40)},
 		{"csv-garbled", "text/csv", []byte("not,perf\ngarbage\n")},
+		{"csv-nan-timestamp", "text/csv", []byte("NAN,0,,0\n")},
 		{"empty", "text/csv", nil},
 	}
 	for _, c := range cases {

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"spire/internal/core"
 )
 
 // FuzzPerfStatCSV drives the tolerant parser with arbitrary input in both
@@ -27,6 +29,7 @@ func FuzzPerfStatCSV(f *testing.F) {
 		"-1.5,-300,,weird.event,-7,-3.00,,\n",
 		"",
 		"\x00\xff\xfe,,,,\n",
+		"NAN,0,,0\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -151,6 +154,65 @@ func FuzzStreamFeed(f *testing.F) {
 					}
 				}
 			}
+		}
+	})
+}
+
+// FuzzBatchStreamAgree holds ReadCSV and Incremental to one grammar: on
+// the same input they must agree on every sample and its window, every
+// scheduler event, and every Stats count and class, and strict mode must
+// abort in both or in neither. Inputs where the grouping policies differ
+// by design are skipped: a timestamp that goes backwards (ReadCSV
+// re-sorts, streaming emits in arrival order), and a sample quarantined by
+// ReadCSV, whose outlier screen runs over the whole dataset where
+// streaming screens one interval. So is a line beyond ReadCSV's 1 MiB
+// scanner, which aborts the batch read but is one diagnostic when
+// streaming.
+func FuzzBatchStreamAgree(f *testing.F) {
+	seeds := []string{
+		"NAN,0,,0\n",
+		schedScreenCSV,
+		schedCSV,
+		genIntervalCSV(3, "llc.miss", "dsb.uops"),
+		"1.0,100,,cycles,1,100.00,,\n1.0,50,,instructions,1,100.00,,\n1.0,10,,llc.miss,1,25.00,,\n1.0,99,,llc.miss,1,25.00,,\n2.0,100,,cycles,1,100.00,,\n",
+		"1,000107616;3200000000;;cycles;1000000000;100,00;;\n1,000107616;4800000000;;instructions;1000000000;100,00;;\n",
+		"garbage line without separators\n5.0,1,,cycles,1\n",
+		"1.0,sched.switch_in,100,0,1,,-1\n1.0,sched.numa_migrate,5,0,0,,-1\n",
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		batch, err := ReadCSV(strings.NewReader(input), Options{})
+		if err != nil {
+			return
+		}
+		ivs, _, st, err := incrementalRun([]byte(input), 0, Lenient)
+		if err != nil {
+			t.Fatalf("lenient streaming errored: %v", err)
+		}
+		if st.ByClass[DiagOutOfOrder.String()] > 0 || batch.Validation.Quarantined > 0 {
+			return
+		}
+		var samples []core.Sample
+		var sched []core.SchedEvent
+		for _, iv := range ivs {
+			samples = append(samples, iv.Samples...)
+			sched = append(sched, iv.Sched...)
+		}
+		if !reflect.DeepEqual(samples, batch.Dataset.Samples) {
+			t.Fatalf("samples diverge:\nstream: %v\nbatch:  %v", samples, batch.Dataset.Samples)
+		}
+		if !reflect.DeepEqual(sched, batch.Dataset.Sched) {
+			t.Fatalf("sched events diverge:\nstream: %v\nbatch:  %v", sched, batch.Dataset.Sched)
+		}
+		if !reflect.DeepEqual(st, batch.Stats) {
+			t.Fatalf("stats diverge:\nstream: %+v\nbatch:  %+v", st, batch.Stats)
+		}
+		_, batchErr := ReadCSV(strings.NewReader(input), Options{Mode: Strict})
+		_, _, _, streamErr := incrementalRun([]byte(input), 0, Strict)
+		if (batchErr == nil) != (streamErr == nil) {
+			t.Fatalf("strict mode disagrees: batch %v, stream %v", batchErr, streamErr)
 		}
 	})
 }

@@ -2,13 +2,13 @@ package ingest
 
 import (
 	"fmt"
-	"strings"
+	"maps"
 
 	"spire/internal/core"
 )
 
-// This file is the streaming half of the ingestion pipeline: the same
-// tolerant `perf stat -x, -I` CSV semantics as ReadCSV, but fed one
+// This file is the streaming half of the ingestion pipeline: ReadCSV's
+// row grammar, interval assembly and screening (csvParser), fed one
 // arbitrary byte chunk at a time. Two pieces compose:
 //
 //   - LineSplitter reassembles physical lines across chunk boundaries, so
@@ -126,27 +126,17 @@ type Interval struct {
 
 // Incremental is the resumable counterpart of ReadCSV: feed it `perf
 // stat -x, -I` CSV in arbitrary chunks and collect completed intervals as
-// they close. All of ReadCSV's tolerant-parsing behavior applies — the
-// same row grammar, the same diagnostics, the same per-sample validation
-// — except that intervals are emitted in arrival order (no global
-// re-sort) and an oversized line becomes a diagnostic instead of a fatal
+// they close. It runs ReadCSV's row grammar, interval assembly and
+// screening; only the grouping differs. Intervals are contiguous rows,
+// emitted in arrival order (no global re-sort) and screened one at a
+// time, and an oversized line becomes a diagnostic instead of a fatal
 // read error.
 //
 // Not safe for concurrent use; callers serialize Feed/Close.
 type Incremental struct {
-	opts     Options
-	cyclesEv string
-	instEv   string
-
+	p      *csvParser
 	split  LineSplitter
-	res    Result // diagnostics + stats accumulator (Dataset unused)
 	cur    *interval
-	window int
-	lineNo int
-	lastTS float64
-	haveTS bool
-
-	err    error // sticky strict-mode abort
 	closed bool
 }
 
@@ -156,12 +146,7 @@ type Incremental struct {
 // interval shares the same period); structural checks (NaN/Inf, negative
 // time, counter wraps) are enforced exactly as in batch mode.
 func NewIncremental(opts Options) *Incremental {
-	opts.setDefaults()
-	return &Incremental{
-		opts:     opts,
-		cyclesEv: CanonicalEvent(opts.CyclesEvent),
-		instEv:   CanonicalEvent(opts.InstEvent),
-	}
+	return &Incremental{p: newCSVParser(opts)}
 }
 
 // Feed consumes one chunk and returns the intervals it completed, in
@@ -169,29 +154,29 @@ func NewIncremental(opts Options) *Incremental {
 // first severe anomaly aborts, the error is sticky, and any intervals
 // completed before the anomaly are still returned.
 func (in *Incremental) Feed(chunk []byte) ([]Interval, error) {
-	if in.err != nil {
-		return nil, in.err
+	if in.p.err != nil {
+		return nil, in.p.err
 	}
 	if in.closed {
 		return nil, fmt.Errorf("ingest: feed after close")
 	}
 	var out []Interval
 	in.split.Feed(chunk, func(line []byte, overran bool) {
-		if in.err != nil {
+		if in.p.err != nil {
 			return
 		}
 		if iv := in.processLine(string(line), overran); iv != nil {
 			out = append(out, *iv)
 		}
 	})
-	return out, in.err
+	return out, in.p.err
 }
 
 // Close flushes the trailing partial line and the open interval,
 // returning whatever completes. Further Feeds error.
 func (in *Incremental) Close() ([]Interval, error) {
-	if in.err != nil {
-		return nil, in.err
+	if in.p.err != nil {
+		return nil, in.p.err
 	}
 	if in.closed {
 		return nil, nil
@@ -199,41 +184,26 @@ func (in *Incremental) Close() ([]Interval, error) {
 	in.closed = true
 	var out []Interval
 	in.split.Flush(func(line []byte, overran bool) {
-		if in.err != nil {
-			return
-		}
 		if iv := in.processLine(string(line), overran); iv != nil {
 			out = append(out, *iv)
 		}
 	})
-	if in.err != nil {
-		return out, in.err
+	if in.p.err != nil {
+		return out, in.p.err
 	}
 	if iv := in.completeCurrent(); iv != nil {
 		out = append(out, *iv)
 	}
-	return out, in.err
+	return out, in.p.err
 }
 
 // Stats returns a snapshot of the cumulative ingestion statistics so
-// far. ByClass is copied, so the snapshot stays stable (and safe to read
-// from other goroutines) while feeding continues.
+// far. The maps are copied, so the snapshot stays stable (and safe to
+// read from other goroutines) while feeding continues.
 func (in *Incremental) Stats() Stats {
-	st := in.res.Stats
-	if st.ByClass != nil {
-		cp := make(map[string]int, len(st.ByClass))
-		for k, v := range st.ByClass {
-			cp[k] = v
-		}
-		st.ByClass = cp
-	}
-	if st.SkippedClasses != nil {
-		cp := make(map[string]int, len(st.SkippedClasses))
-		for k, v := range st.SkippedClasses {
-			cp[k] = v
-		}
-		st.SkippedClasses = cp
-	}
+	st := in.p.res.Stats
+	st.ByClass = maps.Clone(st.ByClass)
+	st.SkippedClasses = maps.Clone(st.SkippedClasses)
 	return st
 }
 
@@ -242,207 +212,49 @@ func (in *Incremental) Stats() Stats {
 // that drains regularly never loses diagnostics to the cap; Stats.ByClass
 // counts stay complete either way.
 func (in *Incremental) TakeDiags() []Diag {
-	out := in.res.Diags
-	in.res.Diags = nil
+	out := in.p.res.Diags
+	in.p.res.Diags = nil
 	return out
 }
 
-// processLine mirrors ReadCSV's per-line handling. It returns the
-// interval the line completed, if any.
+// processLine parses one line and groups it: a row whose timestamp
+// differs from the open interval's completes that interval and opens the
+// next. It returns the interval the line completed, if any.
 func (in *Incremental) processLine(raw string, overran bool) *Interval {
-	in.lineNo++
-	in.res.Stats.Lines++
-	if overran {
-		in.diag(Diag{Line: in.lineNo, Class: DiagGarbled, Raw: raw,
-			Msg: fmt.Sprintf("line exceeds %d bytes; skipped", maxLineBytes)})
+	kind, rw, ev := in.p.parseLine(raw, overran)
+	if kind == lineNone {
 		return nil
 	}
-	line := strings.TrimSpace(raw)
-	if line == "" || strings.HasPrefix(line, "#") {
-		return nil
-	}
-	fields := splitFields(line)
-	if isSchedRow(fields) {
-		return in.processSchedLine(fields, line)
-	}
-	rw, d := parseRowFields(fields, line, in.lineNo)
-	if d != nil {
-		in.diag(*d)
-		return nil
-	}
-	in.res.Stats.DataLines++
-	if rw.pct < in.opts.MinRunPct {
-		in.diag(Diag{Line: in.lineNo, Class: DiagLowScaling, Raw: raw,
-			Msg: fmt.Sprintf("%s ran %.2f%% of the interval (< %.2f%%)", rw.event, rw.pct, in.opts.MinRunPct)})
-		return nil
-	}
-
 	var completed *Interval
 	if in.cur == nil || rw.ts != in.cur.ts {
 		completed = in.completeCurrent()
-		if in.err != nil {
-			return completed
+		if in.p.err != nil {
+			return nil
 		}
-		if in.haveTS && rw.ts < in.lastTS {
-			d := Diag{Line: in.lineNo, Class: DiagOutOfOrder, Raw: raw,
-				Msg: fmt.Sprintf("interval %.9f arrived after %.9f; emitting in arrival order", rw.ts, in.lastTS)}
-			in.diag(d)
-			if in.err != nil {
-				return completed
-			}
-		}
-		if rw.ts > in.lastTS {
-			in.lastTS = rw.ts
-		}
-		in.haveTS = true
-		in.cur = &interval{ts: rw.ts, seen: make(map[string]bool)}
+		in.cur = in.p.open(rw.ts, raw, "emitting in arrival order")
 	}
-	if in.cur.seen[rw.event] {
-		in.diag(Diag{Line: in.lineNo, Class: DiagDuplicate, Raw: raw,
-			Msg: fmt.Sprintf("duplicate row for event %s in interval %.9f; keeping the first", rw.event, rw.ts)})
-		return completed
-	}
-	in.cur.seen[rw.event] = true
-	in.cur.rows = append(in.cur.rows, rw)
-	in.cur.lines = append(in.cur.lines, in.lineNo)
+	in.p.add(in.cur, kind, rw, ev, raw)
 	return completed
 }
 
-// processSchedLine mirrors ReadCSV's scheduler-row handling for the
-// streaming path, including interval grouping by timestamp.
-func (in *Incremental) processSchedLine(fields []string, line string) *Interval {
-	sr, d := parseSchedFields(fields, line, in.lineNo)
-	if d != nil {
-		if d.Class == DiagUnknownClass {
-			in.res.Stats.skipClass(classOrPlaceholder(sr.ev.Class))
-		}
-		in.diag(*d)
-		return nil
-	}
-	in.res.Stats.DataLines++
-	var completed *Interval
-	if in.cur == nil || sr.ts != in.cur.ts {
-		completed = in.completeCurrent()
-		if in.err != nil {
-			return completed
-		}
-		if in.haveTS && sr.ts < in.lastTS {
-			in.diag(Diag{Line: in.lineNo, Class: DiagOutOfOrder, Raw: line,
-				Msg: fmt.Sprintf("interval %.9f arrived after %.9f; emitting in arrival order", sr.ts, in.lastTS)})
-			if in.err != nil {
-				return completed
-			}
-		}
-		if sr.ts > in.lastTS {
-			in.lastTS = sr.ts
-		}
-		in.haveTS = true
-		in.cur = &interval{ts: sr.ts, seen: make(map[string]bool)}
-	}
-	in.cur.sched = append(in.cur.sched, sr.ev)
-	return completed
-}
-
-// completeCurrent assembles and validates the open interval, exactly as
-// ReadCSV's assembly loop does for one timestamp group.
+// completeCurrent assembles and screens the open interval.
 func (in *Incremental) completeCurrent() *Interval {
 	iv := in.cur
 	in.cur = nil
-	if iv == nil {
+	var ds core.Dataset
+	if iv == nil || !in.p.assemble(iv, &ds) {
 		return nil
 	}
-	in.res.Stats.Intervals++
-	var T, W float64
-	haveT, haveW := false, false
-	for _, rw := range iv.rows {
-		switch rw.event {
-		case in.cyclesEv:
-			T, haveT = rw.value, true
-		case in.instEv:
-			W, haveW = rw.value, true
-		}
-	}
-	haveFixed := haveT && haveW
-	if !haveFixed && len(iv.rows) > 0 {
-		missing := in.cyclesEv
-		if haveT {
-			missing = in.instEv
-		}
-		line := 0
-		if len(iv.lines) > 0 {
-			line = iv.lines[0]
-		}
-		in.diag(Diag{Class: DiagMissingFixed, Line: line,
-			Msg: fmt.Sprintf("interval %.9f has no %s row; dropping its %d rows", iv.ts, missing, len(iv.rows))})
-		if in.err != nil {
-			return nil
-		}
-	}
-	// Same window rule as ReadCSV: a full counter set or scheduler
-	// events make a window; counter rows missing their fixed set drop.
-	if !haveFixed && len(iv.sched) == 0 {
+	clean, rep, err := in.p.res.screen(ds, in.p.opts)
+	if err != nil {
+		in.p.err = err
 		return nil
 	}
-	in.window++
-	var assembled core.Dataset
-	if haveFixed {
-		for _, rw := range iv.rows {
-			if rw.event == in.cyclesEv || rw.event == in.instEv {
-				continue
-			}
-			assembled.Add(core.Sample{
-				Metric: rw.event,
-				T:      T,
-				W:      W,
-				M:      rw.value,
-				Window: in.window,
-			})
-		}
-	}
-	sched := iv.sched
-	for i := range sched {
-		sched[i].Window = in.window
-	}
-
-	vopts := core.ValidateOptions{}
-	if in.opts.Validate != nil {
-		vopts = *in.opts.Validate
-	}
-	rep := core.Validate(assembled, vopts)
-	for _, q := range rep.Detail {
-		in.diag(Diag{Class: DiagQuarantined,
-			Msg: fmt.Sprintf("sample %d quarantined (%s): %s", q.Index, q.ReasonName, q.Sample)})
-		if in.err != nil {
-			return nil
-		}
-	}
-	// Keep the count complete even when Detail was capped.
-	if extra := rep.Quarantined - len(rep.Detail); extra > 0 {
-		if in.res.Stats.ByClass == nil {
-			in.res.Stats.ByClass = make(map[string]int)
-		}
-		in.res.Stats.ByClass[DiagQuarantined.String()] += extra
-		if in.opts.Mode == Strict {
-			in.err = strictErr(Diag{Class: DiagQuarantined, Msg: rep.Summary()})
-			return nil
-		}
-	}
-	in.res.Stats.Samples += rep.Clean.Len()
-	in.res.Stats.SchedEvents += len(sched)
 	return &Interval{
 		TS:          iv.ts,
-		Window:      in.window,
-		Samples:     rep.Clean.Samples,
-		Sched:       sched,
+		Window:      in.p.window,
+		Samples:     clean.Samples,
+		Sched:       clean.Sched,
 		Quarantined: rep.Quarantined,
-	}
-}
-
-// diag records one diagnostic and arms the strict-mode abort when it is
-// severe.
-func (in *Incremental) diag(d Diag) {
-	in.res.diag(in.opts, d)
-	if in.opts.Mode == Strict && d.Class.Severe() {
-		in.err = strictErr(d)
 	}
 }

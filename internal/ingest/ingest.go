@@ -306,44 +306,48 @@ func Read(r io.Reader, opts Options) (*Result, error) {
 	}
 }
 
-// validate runs the core quarantine layer over the assembled dataset and
-// finalizes the result. In strict mode any quarantined sample aborts.
-func (res *Result) validate(assembled core.Dataset, opts Options) error {
+// screen is the validation step every ingest path shares: the core
+// quarantine layer over the assembled samples, one diagnostic per
+// quarantined sample (the count stays complete when the detail list is
+// capped), then screenSched over the scheduler events. ReadCSV and
+// ReadJSON screen their whole dataset once, Incremental each interval.
+// Stats.Samples and Stats.SchedEvents grow by what survives. In strict
+// mode any quarantined sample or malformed event aborts.
+func (res *Result) screen(assembled core.Dataset, opts Options) (core.Dataset, core.ValidationReport, error) {
 	vopts := core.ValidateOptions{}
 	if opts.Validate != nil {
 		vopts = *opts.Validate
 	}
-	res.Validation = core.Validate(assembled, vopts)
-	for _, q := range res.Validation.Detail {
+	rep := core.Validate(assembled, vopts)
+	for _, q := range rep.Detail {
 		res.diag(opts, Diag{
 			Class: DiagQuarantined,
 			Msg:   fmt.Sprintf("sample %d quarantined (%s): %s", q.Index, q.ReasonName, q.Sample),
 		})
 	}
-	// Keep the count complete even when Detail was capped.
-	if extra := res.Validation.Quarantined - len(res.Validation.Detail); extra > 0 {
+	if extra := rep.Quarantined - len(rep.Detail); extra > 0 {
 		if res.Stats.ByClass == nil {
 			res.Stats.ByClass = make(map[string]int)
 		}
 		res.Stats.ByClass[DiagQuarantined.String()] += extra
 	}
-	if opts.Mode == Strict && res.Validation.Quarantined > 0 {
-		msg := res.Validation.Summary()
-		if len(res.Validation.Detail) > 0 {
-			q := res.Validation.Detail[0]
+	if opts.Mode == Strict && rep.Quarantined > 0 {
+		msg := rep.Summary()
+		if len(rep.Detail) > 0 {
+			q := rep.Detail[0]
 			msg = fmt.Sprintf("sample %d (%s): %s", q.Index, q.ReasonName, q.Sample)
 		}
-		return strictErr(Diag{Class: DiagQuarantined, Msg: msg})
+		return core.Dataset{}, rep, strictErr(Diag{Class: DiagQuarantined, Msg: msg})
 	}
-	res.Dataset = res.Validation.Clean
-	res.Stats.Samples = res.Dataset.Len()
+	clean := rep.Clean
+	res.Stats.Samples += clean.Len()
 	sched, err := res.screenSched(assembled.Sched, opts)
 	if err != nil {
-		return err
+		return clean, rep, err
 	}
-	res.Dataset.Sched = sched
-	res.Stats.SchedEvents = len(res.Dataset.Sched)
-	return nil
+	clean.Sched = sched
+	res.Stats.SchedEvents += len(sched)
+	return clean, rep, nil
 }
 
 // screenSched validates scheduler events. Structurally broken events

@@ -26,8 +26,6 @@ func ReadJSON(r io.Reader, opts Options) (*Result, error) {
 		windows[s.Window] = true
 	}
 	res.Stats.Intervals = len(windows)
-	if err := res.validate(d, opts); err != nil {
-		return res, err
-	}
-	return res, nil
+	res.Dataset, res.Validation, err = res.screen(d, opts)
+	return res, err
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"regexp"
 	"sort"
 	"strconv"
@@ -105,20 +106,183 @@ const (
 // schedPrefix marks scheduler event rows.
 const schedPrefix = "sched."
 
-// schedRow is one parsed scheduler event line.
-type schedRow struct {
-	line int
-	ts   float64
-	ev   core.SchedEvent
-}
-
 // interval accumulates the rows sharing one timestamp.
 type interval struct {
 	ts    float64
 	rows  []row
 	sched []core.SchedEvent
 	seen  map[string]bool // events already recorded (duplicate detection)
-	lines []int
+}
+
+// csvParser is the perf-stat CSV grammar that ReadCSV and Incremental
+// share: the row grammar (parseLine), interval bookkeeping (open, add),
+// interval assembly (assemble) and, through Result.screen, validation.
+// Only the grouping of rows into intervals belongs to the caller:
+// ReadCSV groups by timestamp across the whole input and re-sorts,
+// Incremental groups contiguous rows and emits them in arrival order.
+type csvParser struct {
+	opts     Options
+	cyclesEv string
+	instEv   string
+	res      *Result
+	lineNo   int
+	window   int     // windows assembled so far
+	lastTS   float64 // latest interval timestamp opened
+	haveTS   bool
+	err      error // strict-mode abort; sticky
+}
+
+func newCSVParser(opts Options) *csvParser {
+	opts.setDefaults()
+	return &csvParser{
+		opts:     opts,
+		cyclesEv: CanonicalEvent(opts.CyclesEvent),
+		instEv:   CanonicalEvent(opts.InstEvent),
+		res:      &Result{},
+	}
+}
+
+// diag records one diagnostic and arms the strict-mode abort when it is
+// severe.
+func (p *csvParser) diag(d Diag) {
+	p.res.diag(p.opts, d)
+	if p.opts.Mode == Strict && d.Class.Severe() {
+		p.err = strictErr(d)
+	}
+}
+
+// lineKind is what parseLine made of one input line.
+type lineKind uint8
+
+const (
+	lineNone    lineKind = iota // blank, comment, or diagnosed and dropped
+	lineCounter                 // a counter row
+	lineSched                   // a scheduler event row
+)
+
+// parseLine is the row grammar. It counts the line, skips blanks and
+// comments, and parses a counter or scheduler row, recording every
+// per-line diagnostic; a counter row that ran for less than MinRunPct of
+// its interval is diagnosed and dropped. The row's timestamp is rw.ts for
+// both kinds; a scheduler row's event is ev. overran marks a line cut
+// short at maxLineBytes.
+func (p *csvParser) parseLine(raw string, overran bool) (lineKind, row, core.SchedEvent) {
+	p.lineNo++
+	p.res.Stats.Lines++
+	if overran {
+		p.diag(Diag{Line: p.lineNo, Class: DiagGarbled, Raw: raw,
+			Msg: fmt.Sprintf("line exceeds %d bytes; skipped", maxLineBytes)})
+		return lineNone, row{}, core.SchedEvent{}
+	}
+	line := strings.TrimSpace(raw)
+	if line == "" || strings.HasPrefix(line, "#") {
+		return lineNone, row{}, core.SchedEvent{}
+	}
+	fields := splitFields(line)
+	if isSchedRow(fields) {
+		ts, ev, d := parseSchedFields(fields, line, p.lineNo)
+		if d != nil {
+			if d.Class == DiagUnknownClass {
+				p.res.Stats.skipClass(classOrPlaceholder(ev.Class))
+			}
+			p.diag(*d)
+			return lineNone, row{}, core.SchedEvent{}
+		}
+		p.res.Stats.DataLines++
+		return lineSched, row{line: p.lineNo, ts: ts}, ev
+	}
+	rw, d := parseRowFields(fields, line, p.lineNo)
+	if d != nil {
+		p.diag(*d)
+		return lineNone, row{}, core.SchedEvent{}
+	}
+	p.res.Stats.DataLines++
+	if rw.pct < p.opts.MinRunPct {
+		p.diag(Diag{Line: p.lineNo, Class: DiagLowScaling, Raw: raw,
+			Msg: fmt.Sprintf("%s ran %.2f%% of the interval (< %.2f%%)", rw.event, rw.pct, p.opts.MinRunPct)})
+		return lineNone, row{}, core.SchedEvent{}
+	}
+	return lineCounter, rw, core.SchedEvent{}
+}
+
+// open starts a new interval at ts. A timestamp earlier than one already
+// opened is diagnosed as out of order; then says how the caller's
+// grouping handles it.
+func (p *csvParser) open(ts float64, raw, then string) *interval {
+	if p.haveTS && ts < p.lastTS {
+		p.diag(Diag{Line: p.lineNo, Class: DiagOutOfOrder, Raw: raw,
+			Msg: fmt.Sprintf("interval %.9f arrived after %.9f; %s", ts, p.lastTS, then)})
+	}
+	if ts > p.lastTS {
+		p.lastTS = ts
+	}
+	p.haveTS = true
+	return &interval{ts: ts, seen: make(map[string]bool)}
+}
+
+// add puts one parsed row into its interval. A second counter row for
+// the same event is diagnosed and dropped: the first row wins.
+func (p *csvParser) add(iv *interval, kind lineKind, rw row, ev core.SchedEvent, raw string) {
+	if kind == lineSched {
+		iv.sched = append(iv.sched, ev)
+		return
+	}
+	if iv.seen[rw.event] {
+		p.diag(Diag{Line: p.lineNo, Class: DiagDuplicate, Raw: raw,
+			Msg: fmt.Sprintf("duplicate row for event %s in interval %.9f; keeping the first", rw.event, rw.ts)})
+		return
+	}
+	iv.seen[rw.event] = true
+	iv.rows = append(iv.rows, rw)
+}
+
+// assemble turns one complete interval into samples and scheduler events
+// appended to ds: T and W come from the interval's fixed-counter rows,
+// and every other counter row becomes one sample. An interval becomes a
+// window when it carries a full counter set or scheduler events; counter
+// rows missing their fixed set are diagnosed and dropped. It reports
+// whether the interval became a window, numbered p.window.
+func (p *csvParser) assemble(iv *interval, ds *core.Dataset) bool {
+	p.res.Stats.Intervals++
+	var T, W float64
+	haveT, haveW := false, false
+	for _, rw := range iv.rows {
+		switch rw.event {
+		case p.cyclesEv:
+			T, haveT = rw.value, true
+		case p.instEv:
+			W, haveW = rw.value, true
+		}
+	}
+	haveFixed := haveT && haveW
+	if !haveFixed && len(iv.rows) > 0 {
+		missing := p.cyclesEv
+		if haveT {
+			missing = p.instEv
+		}
+		p.diag(Diag{Class: DiagMissingFixed, Line: iv.rows[0].line,
+			Msg: fmt.Sprintf("interval %.9f has no %s row; dropping its %d rows", iv.ts, missing, len(iv.rows))})
+		if p.err != nil {
+			return false
+		}
+	}
+	if !haveFixed && len(iv.sched) == 0 {
+		return false
+	}
+	p.window++
+	if haveFixed {
+		for _, rw := range iv.rows {
+			if rw.event == p.cyclesEv || rw.event == p.instEv {
+				continue
+			}
+			ds.Add(core.Sample{Metric: rw.event, T: T, W: W, M: rw.value, Window: p.window})
+		}
+	}
+	for i := range iv.sched {
+		iv.sched[i].Window = p.window
+	}
+	ds.AddSched(iv.sched...)
+	return true
 }
 
 // ReadCSV ingests `perf stat -x, -I` (or -x\;) interval output. Lenient
@@ -127,173 +291,41 @@ type interval struct {
 // W = instructions from each interval's fixed-counter rows, one sample per
 // remaining event, with Window numbering the intervals in timestamp order.
 func ReadCSV(r io.Reader, opts Options) (*Result, error) {
-	opts.setDefaults()
-	res := &Result{}
-	cyclesEv := CanonicalEvent(opts.CyclesEvent)
-	instEv := CanonicalEvent(opts.InstEvent)
-
+	p := newCSVParser(opts)
 	intervals := make(map[float64]*interval)
 	var order []float64
-	var lastTS float64
-	haveTS := false
-
-	// getInterval finds or opens the interval for ts, diagnosing
-	// out-of-order arrivals; a non-nil Diag aborts strict mode.
-	getInterval := func(ts float64, lineNo int, raw string) (*interval, *Diag) {
-		iv, ok := intervals[ts]
-		if ok {
-			return iv, nil
-		}
-		iv = &interval{ts: ts, seen: make(map[string]bool)}
-		intervals[ts] = iv
-		order = append(order, ts)
-		var d *Diag
-		if haveTS && ts < lastTS {
-			d = &Diag{Line: lineNo, Class: DiagOutOfOrder, Raw: raw,
-				Msg: fmt.Sprintf("interval %.9f arrived after %.9f; re-sorting", ts, lastTS)}
-		}
-		if ts > lastTS {
-			lastTS = ts
-		}
-		haveTS = true
-		return iv, d
-	}
-
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	lineNo := 0
 	for sc.Scan() {
-		lineNo++
 		raw := sc.Text()
-		line := strings.TrimSpace(raw)
-		res.Stats.Lines++
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := splitFields(line)
-		if isSchedRow(fields) {
-			sr, diag := parseSchedFields(fields, line, lineNo)
-			if diag != nil {
-				res.diag(opts, *diag)
-				if diag.Class == DiagUnknownClass {
-					res.Stats.skipClass(classOrPlaceholder(sr.ev.Class))
-				}
-				if opts.Mode == Strict && diag.Class.Severe() {
-					return res, strictErr(*diag)
-				}
-				continue
+		kind, rw, ev := p.parseLine(raw, false)
+		if kind != lineNone {
+			iv := intervals[rw.ts]
+			if iv == nil {
+				iv = p.open(rw.ts, raw, "re-sorting")
+				intervals[rw.ts] = iv
+				order = append(order, rw.ts)
 			}
-			res.Stats.DataLines++
-			iv, d := getInterval(sr.ts, lineNo, raw)
-			if d != nil {
-				res.diag(opts, *d)
-				if opts.Mode == Strict {
-					return res, strictErr(*d)
-				}
-			}
-			iv.sched = append(iv.sched, sr.ev)
-			continue
+			p.add(iv, kind, rw, ev, raw)
 		}
-		rw, diag := parseRowFields(fields, line, lineNo)
-		if diag != nil {
-			res.diag(opts, *diag)
-			if opts.Mode == Strict && diag.Class.Severe() {
-				return res, strictErr(*diag)
-			}
-			continue
+		if p.err != nil {
+			return p.res, p.err
 		}
-		res.Stats.DataLines++
-		if rw.pct < opts.MinRunPct {
-			d := Diag{Line: lineNo, Class: DiagLowScaling, Raw: raw,
-				Msg: fmt.Sprintf("%s ran %.2f%% of the interval (< %.2f%%)", rw.event, rw.pct, opts.MinRunPct)}
-			res.diag(opts, d)
-			continue
-		}
-		iv, d := getInterval(rw.ts, lineNo, raw)
-		if d != nil {
-			res.diag(opts, *d)
-			if opts.Mode == Strict {
-				return res, strictErr(*d)
-			}
-		}
-		if iv.seen[rw.event] {
-			d := Diag{Line: lineNo, Class: DiagDuplicate, Raw: raw,
-				Msg: fmt.Sprintf("duplicate row for event %s in interval %.9f; keeping the first", rw.event, rw.ts)}
-			res.diag(opts, d)
-			if opts.Mode == Strict {
-				return res, strictErr(d)
-			}
-			continue
-		}
-		iv.seen[rw.event] = true
-		iv.rows = append(iv.rows, rw)
-		iv.lines = append(iv.lines, lineNo)
 	}
 	if err := sc.Err(); err != nil {
-		return res, fmt.Errorf("ingest: reading input: %w", err)
+		return p.res, fmt.Errorf("ingest: reading input: %w", err)
 	}
 
-	// Assemble samples in timestamp order.
 	sort.Float64s(order)
 	var assembled core.Dataset
-	window := 0
 	for _, ts := range order {
-		iv := intervals[ts]
-		res.Stats.Intervals++
-		var T, W float64
-		haveT, haveW := false, false
-		for _, rw := range iv.rows {
-			switch rw.event {
-			case cyclesEv:
-				T, haveT = rw.value, true
-			case instEv:
-				W, haveW = rw.value, true
-			}
-		}
-		haveFixed := haveT && haveW
-		if !haveFixed && len(iv.rows) > 0 {
-			missing := cyclesEv
-			if haveT {
-				missing = instEv
-			}
-			d := Diag{Class: DiagMissingFixed, Line: iv.lines[0],
-				Msg: fmt.Sprintf("interval %.9f has no %s row; dropping its %d rows", ts, missing, len(iv.rows))}
-			res.diag(opts, d)
-			if opts.Mode == Strict {
-				return res, strictErr(d)
-			}
-		}
-		// An interval becomes a window when it carries a full counter
-		// set or scheduler events; counter-only intervals missing their
-		// fixed rows are dropped as before.
-		if !haveFixed && len(iv.sched) == 0 {
-			continue
-		}
-		window++
-		if haveFixed {
-			for _, rw := range iv.rows {
-				if rw.event == cyclesEv || rw.event == instEv {
-					continue
-				}
-				assembled.Add(core.Sample{
-					Metric: rw.event,
-					T:      T,
-					W:      W,
-					M:      rw.value,
-					Window: window,
-				})
-			}
-		}
-		for _, ev := range iv.sched {
-			ev.Window = window
-			assembled.AddSched(ev)
+		if p.assemble(intervals[ts], &assembled); p.err != nil {
+			return p.res, p.err
 		}
 	}
-
-	if err := res.validate(assembled, opts); err != nil {
-		return res, err
-	}
-	return res, nil
+	var err error
+	p.res.Dataset, p.res.Validation, err = p.res.screen(assembled, p.opts)
+	return p.res, err
 }
 
 // splitFields splits a data line on its separator (comma, or semicolon
@@ -320,70 +352,71 @@ func isSchedRow(fields []string) bool {
 
 // parseSchedFields parses a scheduler event row. The returned Diag, when
 // non-nil, is the whole story (garbled row or unknown class); callers
-// record unknown classes in Stats.SkippedClasses using the class name in
-// schedRow.ev.Class, which is filled even on the unknown-class Diag.
-func parseSchedFields(fields []string, line string, lineNo int) (schedRow, *Diag) {
-	sr := schedRow{line: lineNo}
+// record unknown classes in Stats.SkippedClasses using ev.Class, which
+// is filled even on the unknown-class Diag.
+func parseSchedFields(fields []string, line string, lineNo int) (ts float64, ev core.SchedEvent, d *Diag) {
 	if len(fields) != schedNumFields {
-		return sr, &Diag{Line: lineNo, Class: DiagGarbled, Raw: line,
+		return 0, ev, &Diag{Line: lineNo, Class: DiagGarbled, Raw: line,
 			Msg: fmt.Sprintf("sched row has %d fields, want %d", len(fields), schedNumFields)}
 	}
-	ts, err := parseNum(fields[schedFieldTime])
-	if err != nil {
-		return sr, &Diag{Line: lineNo, Class: DiagGarbled, Raw: line,
-			Msg: fmt.Sprintf("bad interval timestamp %q", fields[schedFieldTime])}
+	ts, d = parseTS(fields[schedFieldTime], line, lineNo)
+	if d != nil {
+		return 0, ev, d
 	}
-	sr.ts = ts
-	sr.ev.Class = fields[schedFieldClass]
+	ev.Class = fields[schedFieldClass]
 	cycle, err := parseNum(fields[schedFieldCycle])
 	if err != nil || cycle < 0 {
-		return sr, &Diag{Line: lineNo, Class: DiagGarbled, Raw: line,
+		return ts, ev, &Diag{Line: lineNo, Class: DiagGarbled, Raw: line,
 			Msg: fmt.Sprintf("bad sched event time %q", fields[schedFieldCycle])}
 	}
-	sr.ev.Time = cycle
+	ev.Time = cycle
 	thread, err := strconv.Atoi(fields[schedFieldThread])
 	if err != nil || thread < 0 {
-		return sr, &Diag{Line: lineNo, Class: DiagGarbled, Raw: line,
+		return ts, ev, &Diag{Line: lineNo, Class: DiagGarbled, Raw: line,
 			Msg: fmt.Sprintf("bad sched thread id %q", fields[schedFieldThread])}
 	}
-	sr.ev.Thread = thread
+	ev.Thread = thread
 	hart, err := strconv.Atoi(fields[schedFieldHart])
 	if err != nil || hart < 0 {
-		return sr, &Diag{Line: lineNo, Class: DiagGarbled, Raw: line,
+		return ts, ev, &Diag{Line: lineNo, Class: DiagGarbled, Raw: line,
 			Msg: fmt.Sprintf("bad sched hart %q", fields[schedFieldHart])}
 	}
-	sr.ev.Hart = hart
-	sr.ev.Obj = fields[schedFieldObj]
+	ev.Hart = hart
+	ev.Obj = fields[schedFieldObj]
 	waker, err := strconv.Atoi(fields[schedFieldWaker])
 	if err != nil || waker < -1 {
-		return sr, &Diag{Line: lineNo, Class: DiagGarbled, Raw: line,
+		return ts, ev, &Diag{Line: lineNo, Class: DiagGarbled, Raw: line,
 			Msg: fmt.Sprintf("bad sched waker %q", fields[schedFieldWaker])}
 	}
-	sr.ev.Waker = waker
-	if !knownSchedClass(sr.ev.Class) {
-		return sr, &Diag{Line: lineNo, Class: DiagUnknownClass, Raw: line,
-			Msg: fmt.Sprintf("unknown sched event class %q; skipped", sr.ev.Class)}
+	ev.Waker = waker
+	if !knownSchedClass(ev.Class) {
+		return ts, ev, &Diag{Line: lineNo, Class: DiagUnknownClass, Raw: line,
+			Msg: fmt.Sprintf("unknown sched event class %q; skipped", ev.Class)}
 	}
-	return sr, nil
+	return ts, ev, nil
 }
 
-// parseRow parses one data line into a row, or classifies it with a Diag.
-// A nil Diag with a zero row never happens: exactly one of the returns is
-// meaningful.
-func parseRow(line string, lineNo int) (row, *Diag) {
-	return parseRowFields(splitFields(line), line, lineNo)
+// parseTS parses a row's interval timestamp. A timestamp that is not a
+// finite number garbles its row: it cannot name an interval.
+func parseTS(field, line string, lineNo int) (float64, *Diag) {
+	ts, err := parseNum(field)
+	if err != nil || math.IsNaN(ts) || math.IsInf(ts, 0) {
+		return 0, &Diag{Line: lineNo, Class: DiagGarbled, Raw: line,
+			Msg: fmt.Sprintf("bad interval timestamp %q", field)}
+	}
+	return ts, nil
 }
 
-// parseRowFields is parseRow over pre-split fields.
+// parseRowFields parses one split counter line into a row, or classifies
+// it with a Diag; exactly one of the returns is meaningful.
 func parseRowFields(fields []string, line string, lineNo int) (row, *Diag) {
 	if len(fields) < minFields {
 		return row{}, &Diag{Line: lineNo, Class: DiagGarbled, Raw: line,
 			Msg: fmt.Sprintf("%d fields, want >= %d (truncated line?)", len(fields), minFields)}
 	}
-	ts, err := parseNum(fields[fieldTime])
-	if err != nil {
-		return row{}, &Diag{Line: lineNo, Class: DiagGarbled, Raw: line,
-			Msg: fmt.Sprintf("bad interval timestamp %q", fields[fieldTime])}
+	ts, d := parseTS(fields[fieldTime], line, lineNo)
+	if d != nil {
+		return row{}, d
 	}
 	event := CanonicalEvent(fields[fieldEvent])
 	if event == "" {

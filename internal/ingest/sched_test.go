@@ -105,42 +105,50 @@ func TestReadCSVSchedOnlyInterval(t *testing.T) {
 	}
 }
 
+// schedScreenCSV is one interval carrying a lock wait whose event times
+// parse but are not finite: both must be screened out and named.
+const schedScreenCSV = `1.0,sched.switch_in,100,0,1,,-1
+1.0,sched.block_lock,NaN,0,1,queue,2
+1.0,sched.unblock_lock,+Inf,0,1,queue,2
+1.0,sched.switch_out,900,0,1,,-1
+`
+
 func TestIncrementalSchedMatchesBatch(t *testing.T) {
 	// The streaming path must produce the same events with the same
-	// window tags as ReadCSV, in any chunking.
-	batch, err := ReadCSV(strings.NewReader(schedCSV), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, chunk := range []int{1, 7, 64, len(schedCSV)} {
-		in := NewIncremental(Options{})
-		var got []core.SchedEvent
-		data := []byte(schedCSV)
-		for off := 0; off < len(data); off += chunk {
-			end := off + chunk
-			if end > len(data) {
-				end = len(data)
-			}
-			ivs, err := in.Feed(data[off:end])
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, iv := range ivs {
-				got = append(got, iv.Sched...)
-			}
-		}
-		ivs, err := in.Close()
+	// window tags, the same counts and the same screening as ReadCSV, in
+	// any chunking.
+	for _, input := range []string{schedCSV, schedScreenCSV} {
+		batch, err := ReadCSV(strings.NewReader(input), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, iv := range ivs {
-			got = append(got, iv.Sched...)
-		}
-		if !reflect.DeepEqual(got, batch.Dataset.Sched) {
-			t.Fatalf("chunk %d: stream sched %+v != batch %+v", chunk, got, batch.Dataset.Sched)
-		}
-		if st := in.Stats(); st.SchedEvents != batch.Stats.SchedEvents {
-			t.Fatalf("chunk %d: stream SchedEvents %d != batch %d", chunk, st.SchedEvents, batch.Stats.SchedEvents)
+		_, batchStrictErr := ReadCSV(strings.NewReader(input), Options{Mode: Strict})
+		for _, chunk := range []int{1, 7, 64, len(input)} {
+			ivs, in, err := feedAll(t, input, chunk, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []core.SchedEvent
+			for _, iv := range ivs {
+				got = append(got, iv.Sched...)
+			}
+			if !reflect.DeepEqual(got, batch.Dataset.Sched) {
+				t.Fatalf("chunk %d: stream sched %+v != batch %+v", chunk, got, batch.Dataset.Sched)
+			}
+			st := in.Stats()
+			if st.SchedEvents != batch.Stats.SchedEvents {
+				t.Fatalf("chunk %d: stream SchedEvents %d != batch %d", chunk, st.SchedEvents, batch.Stats.SchedEvents)
+			}
+			if !reflect.DeepEqual(st.ByClass, batch.Stats.ByClass) {
+				t.Fatalf("chunk %d: stream ByClass %v != batch %v", chunk, st.ByClass, batch.Stats.ByClass)
+			}
+			if !reflect.DeepEqual(st.SkippedClasses, batch.Stats.SkippedClasses) {
+				t.Fatalf("chunk %d: stream SkippedClasses %v != batch %v", chunk, st.SkippedClasses, batch.Stats.SkippedClasses)
+			}
+			_, _, strictErr := feedAll(t, input, chunk, Options{Mode: Strict})
+			if (strictErr == nil) != (batchStrictErr == nil) {
+				t.Fatalf("chunk %d: strict stream error %v, batch error %v", chunk, strictErr, batchStrictErr)
+			}
 		}
 	}
 }
