@@ -11,7 +11,7 @@ COVER_roofline  ?= 85.0 ./internal/roofline/ ./internal/workloads/
 COVER_waitgraph ?= 85.0 ./internal/waitgraph/ ./internal/analysis/
 COVER_GATES := core serve stream cluster roofline waitgraph
 
-.PHONY: all build test vet lint race cover $(addprefix cover-,$(COVER_GATES)) smoke fuzz fuzz-short chaos chaos-cluster bench-gate bench-build verify clean
+.PHONY: all build test vet lint race cover $(addprefix cover-,$(COVER_GATES)) smoke fuzz fuzz-short chaos chaos-cluster bench-gate bench-build loc verify clean
 
 # Pinned linter versions, fetched on demand with `go run`. In an offline
 # environment (no module proxy) lint degrades to a warning + skip, so the
@@ -133,6 +133,13 @@ bench-gate:
 # break the serving benchmark.
 bench-build:
 	cd spirebench && $(GO) vet ./... && $(GO) build -o /dev/null .
+
+# Go line and file counts, non-test and test, for the change log. The
+# separate spirebench module and its build output are not counted.
+loc:
+	@src() { find . -name '*.go' -not -path './spirebench/*' -not -path './.bench_build/*' "$$@"; }; \
+	printf 'non-test Go: %6d lines in %3d files\n' $$(src ! -name '*_test.go' -exec cat {} + | wc -l) $$(src ! -name '*_test.go' | wc -l); \
+	printf 'test Go:     %6d lines in %3d files\n' $$(src -name '*_test.go' -exec cat {} + | wc -l) $$(src -name '*_test.go' | wc -l)
 
 # The full verification gate: build, static checks, tests, race tests,
 # the coverage floors, the serving smoke, the chaos soak, a short fuzz

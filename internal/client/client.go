@@ -374,6 +374,11 @@ func (c *Client) Estimate(ctx context.Context, samples []core.Sample, opts Estim
 		err     error
 	)
 	req := &wire.EstimateRequest{Samples: samples, Top: opts.Top, Sched: opts.Sched}
+	// SPB1 would truncate an over-long name and servers reject one in
+	// JSON, so both formats fail here alike.
+	if err := wire.CheckEstimateRequest(req); err != nil {
+		return nil, fmt.Errorf("client: %w", err)
+	}
 	switch opts.Wire {
 	case "", WireJSON:
 		reqBody, err = json.Marshal(req)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"spire/internal/core"
+	"spire/internal/wire"
 )
 
 func testSamples() []core.Sample {
@@ -167,6 +169,56 @@ func TestEstimateDoesNotRetryBadRequest(t *testing.T) {
 	}
 	if hits.Load() != 1 {
 		t.Fatalf("hits = %d, want 1 (400 must not be retried)", hits.Load())
+	}
+}
+
+// TestEstimateStringLimitBothWires: a metric name longer than SPB1 can
+// carry fails the same way over JSON and SPB1, before anything is sent,
+// and one at the limit reaches the server intact over SPB1.
+func TestEstimateStringLimitBothWires(t *testing.T) {
+	var (
+		hits   atomic.Int32
+		gotLen atomic.Int64
+	)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		req, err := wire.ReadEstimateRequest(r.Body, r.Header.Get("Content-Type"))
+		if err == nil && len(req.Samples) > 0 {
+			gotLen.Store(int64(len(req.Samples[0].Metric)))
+		}
+		http.Error(w, `{"error":"recorded"}`, http.StatusBadRequest)
+	}))
+	defer ts.Close()
+	c := fastClient(t, ts.URL, nil)
+	withMetric := func(name string) []core.Sample {
+		s := testSamples()
+		s[0].Metric = name
+		return s
+	}
+
+	over := withMetric(strings.Repeat("m", math.MaxUint16+1))
+	var errs []string
+	for _, format := range []string{WireJSON, WireBin} {
+		_, err := c.Estimate(context.Background(), over, EstimateOptions{Wire: format})
+		if err == nil || !strings.Contains(err.Error(), "SPB1 string limit") {
+			t.Fatalf("%s: err = %v, want the SPB1 string limit", format, err)
+		}
+		errs = append(errs, err.Error())
+	}
+	if errs[0] != errs[1] {
+		t.Fatalf("JSON and SPB1 fail differently:\n%s\n%s", errs[0], errs[1])
+	}
+	if n := hits.Load(); n != 0 {
+		t.Fatalf("%d over-limit requests reached the server", n)
+	}
+
+	_, err := c.Estimate(context.Background(), withMetric(strings.Repeat("m", math.MaxUint16)), EstimateOptions{Wire: WireBin})
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Message != "recorded" {
+		t.Fatalf("err = %v, want the test server's 400", err)
+	}
+	if n := gotLen.Load(); n != math.MaxUint16 {
+		t.Fatalf("server decoded a %d-byte metric, want %d", n, math.MaxUint16)
 	}
 }
 

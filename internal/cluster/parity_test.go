@@ -15,8 +15,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 
@@ -101,7 +103,7 @@ func genParityRequests(seed int64, n int) []parityReq {
 			}), uint64(r.Intn(3)))
 			reqs = append(reqs, parityReq{kind: "bin", body: body, contentType: wire.ContentTypeBin, accept: accept})
 		case pick == 8: // degenerate but well-formed
-			switch r.Intn(3) {
+			switch r.Intn(4) {
 			case 0:
 				reqs = append(reqs, parityReq{kind: "empty-samples", body: []byte(`{"samples":[]}`), contentType: "application/json", accept: accept})
 			case 1:
@@ -113,6 +115,19 @@ func genParityRequests(seed int64, n int) []parityReq {
 					"samples": randSamples(r), "unknown_field": true,
 				})
 				reqs = append(reqs, parityReq{kind: "unknown-field", body: body, contentType: "application/json", accept: accept})
+			case 3:
+				// A metric name at, or one byte past, the longest string
+				// SPB1 carries: the router re-encodes JSON to SPB1, so it
+				// must neither truncate the name nor accept what the
+				// shard rejects.
+				samples := randSamples(r)
+				samples[0].Metric = strings.Repeat("m", math.MaxUint16-1+r.Intn(3))
+				samples[0].T = math.Abs(samples[0].T)
+				body, err := json.Marshal(wire.EstimateRequest{Samples: samples})
+				if err != nil {
+					panic(err)
+				}
+				reqs = append(reqs, parityReq{kind: "long-metric", body: body, contentType: "application/json", accept: accept})
 			}
 		default: // malformed
 			switch r.Intn(4) {
@@ -175,7 +190,7 @@ func TestClusterByteParity(t *testing.T) {
 	t.Logf("parity population: %v", kinds)
 	// The generator must actually cover the error paths, or "parity"
 	// silently shrinks to the happy path.
-	for _, want := range []string{"json", "bin", "empty-samples", "bad-json", "trailing", "bin-truncated"} {
+	for _, want := range []string{"json", "bin", "empty-samples", "long-metric", "bad-json", "trailing", "bin-truncated"} {
 		if kinds[want] == 0 {
 			t.Fatalf("generator produced no %q requests", want)
 		}

@@ -615,6 +615,10 @@ func (rt *Router) healthLoop(ctx context.Context) {
 	}
 }
 
+// minProbeTimeout floors the /readyz probe timeout: bounded by a short
+// HealthInterval alone, a CPU-starved probe marks healthy shards down.
+const minProbeTimeout = time.Second
+
 // probeAll refreshes every shard's health and serving model in one
 // sweep; concurrent so one dead shard's timeout doesn't delay the rest.
 func (rt *Router) probeAll(ctx context.Context) {
@@ -623,7 +627,7 @@ func (rt *Router) probeAll(ctx context.Context) {
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, time.Duration(rt.cfg.HealthInterval))
+			pctx, cancel := context.WithTimeout(ctx, max(time.Duration(rt.cfg.HealthInterval), minProbeTimeout))
 			defer cancel()
 			ready, err := sh.cl.Readyz(pctx)
 			ok := err == nil && ready

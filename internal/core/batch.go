@@ -17,14 +17,13 @@ import (
 type WorkloadIndex struct {
 	metrics []string // sorted metric names with >= 1 valid sample
 	groups  map[string]*indexedMetric
+	n       int // valid samples across all groups
 
 	// uniqT/uniqW are the period-deduplication tables: one entry per
 	// distinct measureKey across the whole index, holding that period's
 	// (T, W) contribution to the measured-throughput aggregate. Each
 	// sample's contribID column points into them, so the merge can dedup
-	// with an epoch-stamped array instead of a map. They are nil for
-	// indexes built incrementally (IncrementalIndex snapshots), where the
-	// merge falls back to the map path.
+	// with an epoch-stamped array instead of a map.
 	uniqT, uniqW []float64
 }
 
@@ -34,48 +33,19 @@ type indexedMetric struct {
 	t, w      []float64 // Sample.T / Sample.W
 	intens    []float64 // Intensity() per sample, precomputed
 	window    []int     // Sample.Window
-	contribID []uint32  // index into WorkloadIndex.uniqT/uniqW; nil on snapshots
+	contribID []uint32  // index into WorkloadIndex.uniqT/uniqW
 }
-
-// sampleCount returns the number of samples in the group's columns.
-func (im *indexedMetric) sampleCount() int { return len(im.t) }
 
 // IndexWorkload groups the workload's valid samples by metric into
 // columnar storage and precomputes each sample's operational intensity
 // plus the measured-throughput dedup tables. Invalid samples are dropped
 // exactly as Dataset.ByMetric drops them; per-metric order is dataset
-// order.
+// order. It is one IncrementalIndex pass, so batch indexes and streaming
+// snapshots share a single builder.
 func IndexWorkload(d Dataset) *WorkloadIndex {
-	ix := &WorkloadIndex{
-		groups: make(map[string]*indexedMetric, 16),
-	}
-	ids := make(map[measureKey]uint32, len(d.Samples))
-	for _, s := range d.Samples {
-		if !s.Valid() {
-			continue
-		}
-		im, ok := ix.groups[s.Metric]
-		if !ok {
-			im = &indexedMetric{}
-			ix.groups[s.Metric] = im
-			ix.metrics = append(ix.metrics, s.Metric)
-		}
-		im.t = append(im.t, s.T)
-		im.w = append(im.w, s.W)
-		im.intens = append(im.intens, s.Intensity())
-		im.window = append(im.window, s.Window)
-		k := measureKey{t: s.T, w: s.W, window: s.Window}
-		id, ok := ids[k]
-		if !ok {
-			id = uint32(len(ix.uniqT))
-			ids[k] = id
-			ix.uniqT = append(ix.uniqT, s.T)
-			ix.uniqW = append(ix.uniqW, s.W)
-		}
-		im.contribID = append(im.contribID, id)
-	}
-	sort.Strings(ix.metrics)
-	return ix
+	ix := NewIncrementalIndex()
+	ix.Add(d.Samples...)
+	return ix.Snapshot()
 }
 
 // Metrics returns the sorted metric names with at least one valid sample.
@@ -84,13 +54,7 @@ func (ix *WorkloadIndex) Metrics() []string {
 }
 
 // Len returns the number of indexed (valid) samples.
-func (ix *WorkloadIndex) Len() int {
-	n := 0
-	for _, im := range ix.groups {
-		n += im.sampleCount()
-	}
-	return n
-}
+func (ix *WorkloadIndex) Len() int { return ix.n }
 
 // EstimateOptions configures BatchEstimate.
 type EstimateOptions struct {
@@ -357,21 +321,17 @@ func (s *perMetricSorter) Less(i, j int) bool {
 // batchScratch pools the per-call merge state: the per-metric result
 // slot (whose contrib slice keeps its capacity), the measured-throughput
 // dedup state — an epoch-stamped array over the index's contribution
-// IDs, plus the map fallback for indexes without ID tables — and the
-// ranking sorter. Repeated estimations — the serve and timeline pattern
-// — reach a steady state with no per-call heap growth.
+// IDs — and the ranking sorter. Repeated estimations — the serve and
+// timeline pattern — reach a steady state with no per-call heap growth.
 type batchScratch struct {
 	res    metricBatch
-	seen   map[measureKey]bool
 	stamp  []uint32
 	epoch  uint32
 	sorter perMetricSorter
 }
 
 var batchScratchPool = sync.Pool{
-	New: func() any {
-		return &batchScratch{seen: make(map[measureKey]bool, 64)}
-	},
+	New: func() any { return new(batchScratch) },
 }
 
 // stampTable readies the epoch-stamp dedup array for n contribution IDs
@@ -425,18 +385,11 @@ func (e *Ensemble) BatchEstimateInto(ctx context.Context, ix *WorkloadIndex, _ E
 	sc := batchScratchPool.Get().(*batchScratch)
 	defer batchScratchPool.Put(sc)
 
-	// The measured throughput counts each period once across metrics.
-	// Indexes built by IndexWorkload carry contribution-ID tables, so
-	// dedup is an epoch-stamped array scan; incremental snapshots fall
-	// back to the key map. Both visit periods in the same order, so the
-	// float accumulation is bit-identical.
-	var stamp []uint32
-	var epoch uint32
-	if ix.uniqT != nil {
-		stamp, epoch = sc.stampTable(len(ix.uniqT))
-	} else {
-		clear(sc.seen)
-	}
+	// The measured throughput counts each period once across metrics:
+	// every index carries contribution IDs, so dedup is an epoch-stamped
+	// array scan, accumulating periods in the order the merge first
+	// reaches them.
+	stamp, epoch := sc.stampTable(len(ix.uniqT))
 	var totT, totW float64
 	res := &sc.res
 	for _, metric := range ix.metrics {
@@ -449,23 +402,12 @@ func (e *Ensemble) BatchEstimateInto(ctx context.Context, ix *WorkloadIndex, _ E
 		}
 		im := ix.groups[metric]
 		estimateMetric(metric, im, ce, res)
-		if stamp != nil {
-			for _, j := range res.contrib {
-				id := im.contribID[j]
-				if stamp[id] != epoch {
-					stamp[id] = epoch
-					totT += ix.uniqT[id]
-					totW += ix.uniqW[id]
-				}
-			}
-		} else {
-			for _, j := range res.contrib {
-				k := measureKey{t: im.t[j], w: im.w[j], window: im.window[j]}
-				if !sc.seen[k] {
-					sc.seen[k] = true
-					totT += k.t
-					totW += k.w
-				}
+		for _, j := range res.contrib {
+			id := im.contribID[j]
+			if stamp[id] != epoch {
+				stamp[id] = epoch
+				totT += ix.uniqT[id]
+				totW += ix.uniqW[id]
 			}
 		}
 		mergeMetric(est, res)

@@ -5,23 +5,21 @@ import "sort"
 // IncrementalIndex grows a workload index sample by sample, so a
 // streaming consumer can extend its window without re-grouping or
 // re-sorting the whole workload (paper §III collects samples as a
-// continuous `perf stat -I` feed). It maintains exactly the structures
-// IndexWorkload builds — per-metric columnar sample groups in arrival
-// order with precomputed intensities and a sorted metric list — which
-// makes Snapshot()+BatchEstimate bit-identical to
-// IndexWorkload+BatchEstimate over the same samples in the same order.
-// (Snapshots carry no contribution-ID tables — under eviction those
-// would grow without bound — so the merge dedups measured throughput
-// through its map fallback, which visits periods in the same order.)
+// continuous `perf stat -I` feed). It is the only index builder:
+// IndexWorkload is one Add of the whole dataset plus a Snapshot, so a
+// window's snapshot and a batch index over the same samples in the same
+// order are the same index.
 //
-// An IncrementalIndex is not safe for concurrent mutation, but snapshots
-// taken from it remain safe to read while the index keeps growing:
-// appends only ever write beyond every previously published snapshot's
+// Add, EvictBefore and Snapshot all write the index (Snapshot sorts the
+// metric list and renumbers periods), so callers serialize them. The
+// snapshots it hands out stay safe to read while the index keeps
+// growing: appends only ever write beyond every published snapshot's
 // visible range, and evictions only move slice headers forward.
 type IncrementalIndex struct {
-	metrics []string // sorted metric names with >= 1 live sample
+	metrics []string // metric names with >= 1 live sample; Snapshot sorts them
 	groups  map[string]*indexedMetric
-	n       int // live samples across all groups
+	n       int                   // live samples across all groups
+	ids     map[measureKey]uint32 // Snapshot's period numbering, cleared per snapshot
 }
 
 // NewIncrementalIndex returns an empty index.
@@ -44,10 +42,9 @@ func (ix *IncrementalIndex) Add(samples ...Sample) int {
 		if !ok {
 			g = &indexedMetric{}
 			ix.groups[s.Metric] = g
-			k := sort.SearchStrings(ix.metrics, s.Metric)
-			ix.metrics = append(ix.metrics, "")
-			copy(ix.metrics[k+1:], ix.metrics[k:])
-			ix.metrics[k] = s.Metric
+			// Sorted once per Snapshot: sorted insertion here would
+			// make indexing M distinct metrics O(M²).
+			ix.metrics = append(ix.metrics, s.Metric)
 		}
 		g.t = append(g.t, s.T)
 		g.w = append(g.w, s.W)
@@ -99,21 +96,43 @@ func (ix *IncrementalIndex) EvictBefore(window int) int {
 
 // Snapshot publishes the current contents as an immutable WorkloadIndex
 // that stays correct while the IncrementalIndex keeps mutating. The
-// snapshot shares column storage with the live index: full-slice
-// expressions cap each column at its current length, later Adds write
-// only beyond that cap, and EvictBefore only advances the live slice
-// headers — so no write ever lands inside a snapshot's visible range.
+// snapshot shares the t/w/intens/window columns with the live index:
+// full-slice expressions cap each at its current length, later Adds
+// write only beyond that cap, and EvictBefore only advances the live
+// slice headers. The contribution-ID tables are built fresh over the
+// live samples, so snapshots stay bounded by the window.
 func (ix *IncrementalIndex) Snapshot() *WorkloadIndex {
+	sort.Strings(ix.metrics)
 	out := &WorkloadIndex{
 		metrics: append([]string(nil), ix.metrics...),
 		groups:  make(map[string]*indexedMetric, len(ix.groups)),
+		n:       ix.n,
 	}
-	for metric, g := range ix.groups {
+	if ix.ids == nil {
+		ix.ids = make(map[measureKey]uint32, ix.n)
+	}
+	clear(ix.ids)
+	for _, metric := range ix.metrics {
+		g := ix.groups[metric]
+		n := len(g.t)
+		contribID := make([]uint32, n)
+		for j := range contribID {
+			k := measureKey{t: g.t[j], w: g.w[j], window: g.window[j]}
+			id, ok := ix.ids[k]
+			if !ok {
+				id = uint32(len(out.uniqT))
+				ix.ids[k] = id
+				out.uniqT = append(out.uniqT, k.t)
+				out.uniqW = append(out.uniqW, k.w)
+			}
+			contribID[j] = id
+		}
 		out.groups[metric] = &indexedMetric{
-			t:      g.t[:len(g.t):len(g.t)],
-			w:      g.w[:len(g.w):len(g.w)],
-			intens: g.intens[:len(g.intens):len(g.intens)],
-			window: g.window[:len(g.window):len(g.window)],
+			t:         g.t[:n:n],
+			w:         g.w[:n:n],
+			intens:    g.intens[:n:n],
+			window:    g.window[:n:n],
+			contribID: contribID,
 		}
 	}
 	return out
@@ -124,5 +143,7 @@ func (ix *IncrementalIndex) Len() int { return ix.n }
 
 // Metrics returns the sorted metric names with at least one live sample.
 func (ix *IncrementalIndex) Metrics() []string {
-	return append([]string(nil), ix.metrics...)
+	out := append([]string(nil), ix.metrics...)
+	sort.Strings(out)
+	return out
 }

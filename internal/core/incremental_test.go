@@ -3,10 +3,14 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
+	"time"
 )
 
 // windowedWorkload builds a workload whose samples carry nondecreasing
@@ -33,25 +37,68 @@ func windowedWorkload(rng *rand.Rand, windows int) Dataset {
 	return d
 }
 
-// indexesEqual asserts that two workload indexes hold identical contents.
-func indexesEqual(t *testing.T, got, want *WorkloadIndex) {
+// indexesEqual asserts that a workload index holds exactly the valid
+// samples of want: the metrics Dataset.ByMetric groups, each metric's
+// T/W/window/Sample.Intensity columns in dataset order, and contribution
+// IDs that name each sample's own period — two samples share an ID
+// exactly when they share (T, W, window), and the ID tables hold one
+// entry per distinct period.
+func indexesEqual(t *testing.T, got *WorkloadIndex, want Dataset) {
 	t.Helper()
-	if !reflect.DeepEqual(got.Metrics(), want.Metrics()) {
-		t.Fatalf("metrics %v != %v", got.Metrics(), want.Metrics())
+	groups := want.ByMetric()
+	metrics := make([]string, 0, len(groups))
+	for m := range groups {
+		metrics = append(metrics, m)
 	}
-	for _, m := range want.Metrics() {
-		g, w := got.groups[m], want.groups[m]
-		if !reflect.DeepEqual(g.t, w.t) || !reflect.DeepEqual(g.w, w.w) ||
-			!reflect.DeepEqual(g.window, w.window) {
-			t.Fatalf("metric %s columns diverge:\n got %+v %+v %+v\nwant %+v %+v %+v",
-				m, g.t, g.w, g.window, w.t, w.w, w.window)
+	sort.Strings(metrics)
+	if !slices.Equal(got.Metrics(), metrics) {
+		t.Fatalf("metrics %v != %v", got.Metrics(), metrics)
+	}
+	if len(got.uniqT) != len(got.uniqW) {
+		t.Fatalf("ID tables diverge: %d T entries, %d W entries", len(got.uniqT), len(got.uniqW))
+	}
+	idOf := make(map[measureKey]uint32)
+	keyOf := make(map[uint32]measureKey)
+	n := 0
+	for _, m := range metrics {
+		g, ss := got.groups[m], groups[m]
+		if len(g.t) != len(ss) || len(g.w) != len(ss) || len(g.intens) != len(ss) ||
+			len(g.window) != len(ss) || len(g.contribID) != len(ss) {
+			t.Fatalf("metric %s: column lengths t=%d w=%d intens=%d window=%d contribID=%d, want %d",
+				m, len(g.t), len(g.w), len(g.intens), len(g.window), len(g.contribID), len(ss))
 		}
-		for i := range w.intens {
-			if g.intens[i] != w.intens[i] &&
-				!(math.IsNaN(g.intens[i]) && math.IsNaN(w.intens[i])) {
-				t.Fatalf("metric %s intensity[%d] %g != %g", m, i, g.intens[i], w.intens[i])
+		for i, s := range ss {
+			if g.t[i] != s.T || g.w[i] != s.W || g.window[i] != s.Window {
+				t.Fatalf("metric %s sample %d: (T, W, window) = (%g, %g, %d), want (%g, %g, %d)",
+					m, i, g.t[i], g.w[i], g.window[i], s.T, s.W, s.Window)
 			}
+			if in := s.Intensity(); g.intens[i] != in && !(math.IsNaN(g.intens[i]) && math.IsNaN(in)) {
+				t.Fatalf("metric %s intensity[%d] %g != %g", m, i, g.intens[i], in)
+			}
+			id := g.contribID[i]
+			if int(id) >= len(got.uniqT) {
+				t.Fatalf("metric %s sample %d: ID %d outside %d-entry tables", m, i, id, len(got.uniqT))
+			}
+			if got.uniqT[id] != s.T || got.uniqW[id] != s.W {
+				t.Fatalf("metric %s sample %d: ID %d holds (%g, %g), want its own (%g, %g)",
+					m, i, id, got.uniqT[id], got.uniqW[id], s.T, s.W)
+			}
+			k := measureKey{t: s.T, w: s.W, window: s.Window}
+			if prev, ok := idOf[k]; ok && prev != id {
+				t.Fatalf("metric %s sample %d: period %+v has IDs %d and %d", m, i, k, prev, id)
+			}
+			if prev, ok := keyOf[id]; ok && prev != k {
+				t.Fatalf("metric %s sample %d: ID %d names periods %+v and %+v", m, i, id, prev, k)
+			}
+			idOf[k], keyOf[id] = id, k
+			n++
 		}
+	}
+	if got.Len() != n {
+		t.Fatalf("Len %d, want %d valid samples", got.Len(), n)
+	}
+	if len(got.uniqT) != len(idOf) {
+		t.Fatalf("ID tables hold %d entries for %d distinct periods", len(got.uniqT), len(idOf))
 	}
 }
 
@@ -67,7 +114,8 @@ func TestIncrementalIndexMatchesIndexWorkload(t *testing.T) {
 		if added != want.Len() || inc.Len() != want.Len() {
 			t.Fatalf("Add kept %d (Len %d), IndexWorkload holds %d", added, inc.Len(), want.Len())
 		}
-		indexesEqual(t, inc.Snapshot(), want)
+		indexesEqual(t, inc.Snapshot(), d)
+		indexesEqual(t, want, d)
 	}
 }
 
@@ -89,7 +137,7 @@ func TestIncrementalIndexEviction(t *testing.T) {
 			t.Fatalf("cut=%d: Len %d (evicted %d of %d), want %d",
 				cut, inc.Len(), evicted, before, want.Len())
 		}
-		indexesEqual(t, inc.Snapshot(), want)
+		indexesEqual(t, inc.Snapshot(), keep)
 	}
 }
 
@@ -162,5 +210,50 @@ func TestIncrementalIndexInvalidAndAccessors(t *testing.T) {
 	}
 	if inc.Add(Sample{Metric: "c", T: 1, W: 1, M: 1, Window: 101}) != 1 {
 		t.Fatal("index unusable after draining")
+	}
+}
+
+// TestIndexWorkloadManyMetrics: indexing cost must stay near-linear in
+// the number of distinct metrics, whatever order they arrive in. A
+// request body can carry ~100k distinct names, and keeping the metric
+// list sorted on every insertion would be quadratic (over 10 s of
+// memmove); the bound is loose enough for a loaded host and -race.
+func TestIndexWorkloadManyMetrics(t *testing.T) {
+	const n = 100_000
+	d := Dataset{Samples: make([]Sample, n)}
+	for i := range d.Samples {
+		d.Samples[i] = Sample{Metric: fmt.Sprintf("m%07d", n-i), T: 1, W: float64(1 + i%7), M: 1, Window: i % 3}
+	}
+	start := time.Now()
+	ix := IndexWorkload(d)
+	if el := time.Since(start); el > 5*time.Second {
+		t.Fatalf("indexing %d descending metric names took %v", n, el)
+	}
+	got := ix.Metrics()
+	if len(got) != n || ix.Len() != n || !sort.StringsAreSorted(got) {
+		t.Fatalf("got %d metrics (sorted %v), Len %d; want %d sorted", len(got), sort.StringsAreSorted(got), ix.Len(), n)
+	}
+	if len(ix.uniqT) != 7*3 {
+		t.Fatalf("%d distinct periods, want 21", len(ix.uniqT))
+	}
+}
+
+// TestIncrementalIndexOutOfOrderNames: names added out of order, with
+// evictions in between, still snapshot in sorted order.
+func TestIncrementalIndexOutOfOrderNames(t *testing.T) {
+	inc := NewIncrementalIndex()
+	inc.Add(Sample{Metric: "c", T: 1, W: 1, M: 1, Window: 1}, Sample{Metric: "a", T: 1, W: 1, M: 1, Window: 2})
+	inc.Add(Sample{Metric: "d", T: 1, W: 1, M: 1, Window: 2}, Sample{Metric: "b", T: 1, W: 1, M: 1, Window: 2})
+	if got := inc.Metrics(); !reflect.DeepEqual(got, []string{"a", "b", "c", "d"}) {
+		t.Fatalf("metrics %v before eviction", got)
+	}
+	inc.EvictBefore(2)
+	inc.Add(Sample{Metric: "aa", T: 1, W: 1, M: 1, Window: 3})
+	want := []string{"a", "aa", "b", "d"}
+	if got := inc.Snapshot().Metrics(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot metrics %v, want %v", got, want)
+	}
+	if got := inc.Metrics(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("metrics %v after snapshot, want %v", got, want)
 	}
 }

@@ -126,8 +126,8 @@ func (e *Engine) Estimate(ctx context.Context, ens *core.Ensemble, workload core
 
 // EstimateIndexed is Estimate for callers that already hold an index —
 // the serve handler (which needs the cache-hit flag for its response
-// headers) and the streaming tier (whose sliding windows maintain
-// incremental index snapshots).
+// headers) and the streaming tier (whose sliding-window snapshots come
+// from the same core.IncrementalIndex builder as Index's batch indexes).
 func (e *Engine) EstimateIndexed(ctx context.Context, ens *core.Ensemble, ix *core.WorkloadIndex, opts core.EstimateOptions) (*core.Estimation, error) {
 	start := time.Now()
 	est, err := ens.BatchEstimate(ctx, ix, opts)

@@ -2,12 +2,17 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
+
+	"spire/internal/core"
 )
 
 func TestResponseType(t *testing.T) {
@@ -49,4 +54,56 @@ func TestReadEstimateRequestStrictness(t *testing.T) {
 		t.Fatal(err)
 	}
 	samplesEqual(t, got.Samples, sampleSet())
+}
+
+// TestReadEstimateRequestStringLimit: a request string SPB1 cannot carry
+// is rejected in either encoding, and one at the limit round-trips
+// intact through JSON and SPB1 alike — so routing a request (which
+// re-encodes it to SPB1) never changes the names it is estimated on.
+func TestReadEstimateRequestStringLimit(t *testing.T) {
+	atLimit := strings.Repeat("m", math.MaxUint16)
+	over := atLimit + "m"
+	samples := func(metric string) []core.Sample {
+		return []core.Sample{{Metric: metric, T: 1, W: 2, M: 3}}
+	}
+	sched := func(class, obj string) []core.SchedEvent {
+		return []core.SchedEvent{{Time: 1, Class: class, Obj: obj, Waker: -1}}
+	}
+	for name, req := range map[string]*EstimateRequest{
+		"metric":      {Samples: samples(over)},
+		"sched class": {Samples: samples("m"), Sched: sched(over, "")},
+		"sched obj":   {Samples: samples("m"), Sched: sched("sched.block_lock", over)},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadEstimateRequest(bytes.NewReader(body), ContentTypeJSON); err == nil ||
+			!strings.Contains(err.Error(), "SPB1 string limit") {
+			t.Errorf("%s of %d bytes: err = %v, want the SPB1 string limit", name, len(over), err)
+		}
+	}
+
+	want := &EstimateRequest{
+		Samples: samples(atLimit),
+		Sched:   sched(atLimit, atLimit),
+	}
+	body, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromJSON, err := ReadEstimateRequest(bytes.NewReader(body), ContentTypeJSON)
+	if err != nil {
+		t.Fatalf("%d-byte strings from JSON: %v", len(atLimit), err)
+	}
+	frame := AppendEstimateRequest(nil, fromJSON)
+	fromBin, err := ReadEstimateRequest(bytes.NewReader(frame), ContentTypeBin)
+	if err != nil {
+		t.Fatalf("%d-byte strings from SPB1: %v", len(atLimit), err)
+	}
+	for _, got := range []*EstimateRequest{fromJSON, fromBin} {
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d-byte strings changed in the round trip", len(atLimit))
+		}
+	}
 }

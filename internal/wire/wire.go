@@ -91,7 +91,8 @@ func ResponseType(accept string) string {
 // decoded streaming from body: unknown fields are ignored (among them
 // the "workers" field older clients send) and trailing data after the
 // value is an error. Read errors, http.MaxBytesError included, come back
-// unwrapped.
+// unwrapped. A JSON string longer than SPB1 can carry is an error too,
+// since the router re-encodes every decodable body to SPB1.
 func ReadEstimateRequest(body io.Reader, contentType string) (*EstimateRequest, error) {
 	if IsBinMedia(contentType) {
 		if buf, ok := body.(*bytes.Buffer); ok {
@@ -111,7 +112,26 @@ func ReadEstimateRequest(body io.Reader, contentType string) (*EstimateRequest, 
 	if _, err := dec.Token(); err != io.EOF {
 		return nil, errors.New("trailing data after JSON body")
 	}
+	if err := CheckEstimateRequest(req); err != nil {
+		return nil, err
+	}
 	return req, nil
+}
+
+// CheckEstimateRequest rejects request strings longer than SPB1's uint16
+// length prefix carries, which AppendEstimateRequest would truncate.
+func CheckEstimateRequest(req *EstimateRequest) error {
+	for i, s := range req.Samples {
+		if len(s.Metric) > math.MaxUint16 {
+			return fmt.Errorf("wire: sample %d metric is %d bytes, over the %d-byte SPB1 string limit", i, len(s.Metric), math.MaxUint16)
+		}
+	}
+	for i, ev := range req.Sched {
+		if len(ev.Class) > math.MaxUint16 || len(ev.Obj) > math.MaxUint16 {
+			return fmt.Errorf("wire: sched event %d class or obj is over the %d-byte SPB1 string limit", i, math.MaxUint16)
+		}
+	}
+	return nil
 }
 
 // EncodeEstimateResponse renders res as a 200 /v1/estimate body in the
