@@ -86,7 +86,8 @@ fuzz:
 # Quick fuzz smoke over every fuzz target (10s each): the batch and
 # incremental ingest parsers and their agreement, the roofline fitter,
 # the parallel trainer, the model loader, the sliding-window merge, and
-# the serving tier's estimate handler and model-upload decoder.
+# the serving tier's estimate handler and model-upload decoder, and the
+# /v1/estimate JSON codec against encoding/json.
 fuzz-short:
 	$(GO) test -fuzz FuzzPerfStatCSV -fuzztime 10s ./internal/ingest/
 	$(GO) test -fuzz FuzzStreamFeed -fuzztime 10s ./internal/ingest/
@@ -101,6 +102,7 @@ fuzz-short:
 	$(GO) test -fuzz FuzzModelDecode -fuzztime 10s ./internal/serve/
 	$(GO) test -fuzz FuzzBinDecodeEstimate -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz FuzzBinRoundTrip -fuzztime 10s ./internal/wire/
+	$(GO) test -fuzz FuzzJSONCodecAgree -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz FuzzParseConfig -fuzztime 10s ./internal/cluster/
 	$(GO) test -fuzz FuzzParseShardList -fuzztime 10s ./internal/cluster/
 	$(GO) test -fuzz FuzzSchedEventParse -fuzztime 10s ./internal/ingest/
@@ -124,7 +126,9 @@ chaos-cluster:
 # Benchmark regression gate: re-measures the columnar steady state
 # (BenchmarkBatchEstimate's timed region, best of 3) against the
 # recording in BENCH_core_columnar.json — fails on >20% ns/op
-# regression or any allocation per op.
+# regression or any allocation per op — and the served-request codec
+# benchmarks (JSON decode, JSON encode, workload key) against
+# BENCH_wire.json, whose allocs/op must match exactly.
 bench-gate:
 	BENCH_GATE=1 $(GO) test -run TestBenchGate -count=1 -timeout 600s .
 

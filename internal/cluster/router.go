@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"net"
 	"net/http"
 	"net/http/httputil"
@@ -88,7 +87,7 @@ type RouterOptions struct {
 var bookRoutes = []string{"/v1/estimate", "/v1/ingest"}
 
 // rejection reasons the router itself can produce.
-var rejectReasons = []string{"no_shard", "body_too_large", "draining"}
+var rejectReasons = []string{"no_shard", "body_too_large", "malformed_body", "draining"}
 
 // NewRouter validates cfg and builds the router. Start health/sync
 // loops with Run (Serve does both).
@@ -365,14 +364,22 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Write(append(raw, '\n'))
 }
 
-// readBody buffers up to the configured cap; a true second return means
-// the body exceeded it and the request must be rejected.
-func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
-	if err != nil {
-		return nil, true
+// readBody buffers the body, up to the cap, as a shard reads it.
+func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	return wire.ReadBody(new(bytes.Buffer), http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes), min(r.ContentLength, rt.cfg.MaxBodyBytes))
+}
+
+// rejectRead answers a body read error as a shard does: 413 past the cap,
+// otherwise 400 naming the error (a truncated body, a reset connection).
+func (rt *Router) rejectRead(w http.ResponseWriter, route string, err error) {
+	rt.mRequests[route].Inc()
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		rt.reject(w, route, "body_too_large", http.StatusRequestEntityTooLarge,
+			"request body exceeds %d bytes", tooBig.Limit)
+		return
 	}
-	return body, false
+	rt.reject(w, route, "malformed_body", http.StatusBadRequest, "malformed request body: %v", err)
 }
 
 // bodyKey is the routing fallback for bodies the router cannot decode:
@@ -391,11 +398,9 @@ func bodyKey(body []byte) string {
 // own Accept header, which passes through untouched.
 func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	const route = "/v1/estimate"
-	body, tooBig := rt.readBody(w, r)
-	if tooBig {
-		rt.mRequests[route].Inc()
-		rt.reject(w, route, "body_too_large", http.StatusRequestEntityTooLarge,
-			"request body exceeds %d bytes", rt.cfg.MaxBodyBytes)
+	body, err := rt.readBody(w, r)
+	if err != nil {
+		rt.rejectRead(w, route, err)
 		return
 	}
 
@@ -404,7 +409,7 @@ func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	upstreamCT := r.Header.Get("Content-Type")
 	// The same reader the shard uses, so a body the shard would reject
 	// fails here too and is forwarded raw instead.
-	if req, err := wire.ReadEstimateRequest(bytes.NewBuffer(body), upstreamCT); err == nil && len(req.Samples) > 0 {
+	if req, err := wire.DecodeEstimateBody(body, upstreamCT); err == nil && len(req.Samples) > 0 {
 		key = engine.WorkloadKey(req.Samples)
 		upstreamBody = wire.AppendEstimateRequest(nil, req)
 		upstreamCT = wire.ContentTypeBin
@@ -429,11 +434,9 @@ func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
 // handleIngest routes a stateless parse by body content hash.
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	const route = "/v1/ingest"
-	body, tooBig := rt.readBody(w, r)
-	if tooBig {
-		rt.mRequests[route].Inc()
-		rt.reject(w, route, "body_too_large", http.StatusRequestEntityTooLarge,
-			"request body exceeds %d bytes", rt.cfg.MaxBodyBytes)
+	body, err := rt.readBody(w, r)
+	if err != nil {
+		rt.rejectRead(w, route, err)
 		return
 	}
 	rt.serveRelay(w, r, route, bodyKey(body), client.RawRequest{
@@ -475,9 +478,14 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 // The response aggregates per-shard outcomes; the sync loop repairs any
 // shard that was down or diverged.
 func (rt *Router) handleModelsPost(w http.ResponseWriter, r *http.Request) {
-	body, tooBig := rt.readBody(w, r)
-	if tooBig {
+	body, err := rt.readBody(w, r)
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
 		writeError(w, http.StatusRequestEntityTooLarge, "model exceeds %d bytes", rt.cfg.MaxBodyBytes)
+		return
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "malformed request body: %v", err)
 		return
 	}
 	id, err := rt.SetModel(body)

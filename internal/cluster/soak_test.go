@@ -59,6 +59,10 @@ func TestClusterKillRestartSoak(t *testing.T) {
 	)
 	var calls, failures, pushes atomic.Int64
 	var wg sync.WaitGroup
+	// The estimators keep sending until the reaper is done, so requests
+	// flow while every shard dies however fast each one is served.
+	var reaping atomic.Bool
+	reaping.Store(true)
 
 	// Estimators: retrying clients; successes must match goldens even
 	// when served by a failover shard.
@@ -79,7 +83,7 @@ func TestClusterKillRestartSoak(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			for i := 0; i < iterations && ctx.Err() == nil; i++ {
+			for i := 0; (i < iterations || reaping.Load()) && ctx.Err() == nil; i++ {
 				k := (g + i) % workloads
 				calls.Add(1)
 				res, err := c.Estimate(ctx, testutil.Workload(k), client.EstimateOptions{})
@@ -124,6 +128,7 @@ func TestClusterKillRestartSoak(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer reaping.Store(false)
 		r := rand.New(rand.NewSource(7))
 		for round := 0; round < 2 && ctx.Err() == nil; round++ {
 			for _, sh := range tc.shards {

@@ -8,7 +8,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"sort"
+	"strconv"
+	"unicode/utf8"
 )
 
 // modelEnvelope wraps an ensemble with a format version so that saved
@@ -54,245 +57,314 @@ func LoadEnsemble(r io.Reader) (*Ensemble, error) {
 	return env.Model, nil
 }
 
-// jsonNum is a float64 whose JSON encoding is total: the non-finite
-// values encoding/json rejects are rendered as the strings "+Inf",
-// "-Inf" and "NaN", and accepted back on decode. Finite values encode as
-// plain numbers, so documents containing only finite values are
-// unchanged. Estimations legitimately carry non-finite values
-// (MeanIntensity is +Inf for never-firing metrics), so the serving tier
-// depends on this encoding never failing.
+// jsonNum decodes a float64 that appendNum may have spelled "+Inf",
+// "-Inf" or "NaN": estimations legitimately carry non-finite values
+// (MeanIntensity is +Inf for never-firing metrics).
 type jsonNum float64
 
-func (n jsonNum) MarshalJSON() ([]byte, error) {
-	f := float64(n)
+func (n *jsonNum) UnmarshalJSON(b []byte) error {
+	var s string
+	if len(b) == 0 || b[0] != '"' {
+		return json.Unmarshal(b, (*float64)(n))
+	} else if err := json.Unmarshal(b, &s); err != nil {
+		return err
+	}
+	switch s {
+	case "+Inf", "Inf":
+		*n = jsonNum(math.Inf(1))
+	case "-Inf":
+		*n = jsonNum(math.Inf(-1))
+	case "NaN":
+		*n = jsonNum(math.NaN())
+	default:
+		return fmt.Errorf("core: %q is not a number", s)
+	}
+	return nil
+}
+
+// The estimation types' UnmarshalJSON methods invert their encoding: each
+// decodes through the shape encoding/json derives from the tags, with the
+// float fields the encoder may spell as strings redirected to jsonNums at
+// depth 0, which shadows the embedded type's fields of the same name.
+
+func (m *MetricEstimate) UnmarshalJSON(b []byte) error {
+	type plain MetricEstimate
+	*m = MetricEstimate{}
+	return json.Unmarshal(b, &struct {
+		*plain
+		MeanEstimate  *jsonNum `json:"meanEstimate"`
+		MeanIntensity *jsonNum `json:"meanIntensity"`
+	}{(*plain)(m), (*jsonNum)(&m.MeanEstimate), (*jsonNum)(&m.MeanIntensity)})
+}
+
+func (l *LevelEstimate) UnmarshalJSON(b []byte) error {
+	type plain LevelEstimate
+	*l = LevelEstimate{}
+	return json.Unmarshal(b, &struct {
+		*plain
+		MeanEstimate  *jsonNum `json:"meanEstimate"`
+		MeanIntensity *jsonNum `json:"meanIntensity"`
+	}{(*plain)(l), (*jsonNum)(&l.MeanEstimate), (*jsonNum)(&l.MeanIntensity)})
+}
+
+func (s *SurfaceEstimate) UnmarshalJSON(b []byte) error {
+	type plain SurfaceEstimate
+	*s = SurfaceEstimate{}
+	return json.Unmarshal(b, &struct {
+		*plain
+		ParamValue *jsonNum `json:"paramValue"`
+		Ceiling    *jsonNum `json:"ceiling"`
+	}{(*plain)(s), (*jsonNum)(&s.ParamValue), (*jsonNum)(&s.Ceiling)})
+}
+
+func (h *HierarchyEstimate) UnmarshalJSON(b []byte) error {
+	type plain HierarchyEstimate
+	*h = HierarchyEstimate{}
+	return json.Unmarshal(b, &struct {
+		*plain
+		BindingEstimate *jsonNum `json:"bindingEstimate"`
+		BoundThroughput *jsonNum `json:"boundThroughput"`
+	}{(*plain)(h), (*jsonNum)(&h.BindingEstimate), (*jsonNum)(&h.BoundThroughput)})
+}
+
+func (est *Estimation) UnmarshalJSON(b []byte) error {
+	type plain Estimation
+	*est = Estimation{}
+	return json.Unmarshal(b, &struct {
+		*plain
+		MaxThroughput      *jsonNum `json:"maxThroughput"`
+		MeasuredThroughput *jsonNum `json:"measuredThroughput"`
+	}{(*plain)(est), (*jsonNum)(&est.MaxThroughput), (*jsonNum)(&est.MeasuredThroughput)})
+}
+
+// MarshalJSON encodes the estimation in one append pass, with the bytes
+// encoding/json would write for the field tags — HTML-safe string
+// escapes, its float format, omitempty — except that the flat and
+// hierarchy floats spell non-finite values as "+Inf", "-Inf" and "NaN",
+// so that part of the encoding never fails. The combined report's floats
+// are cycle counts and shares, finite by construction; a non-finite one
+// fails the encoding with encoding/json's own UnsupportedValueError.
+func (est Estimation) MarshalJSON() ([]byte, error) {
+	b := make([]byte, 0, 1024+160*len(est.PerMetric))
+	b = appendArray(append(b, `{"perMetric":`...), est.PerMetric, appendMetricEstimate)
+	b = appendNum(append(b, `,"maxThroughput":`...), est.MaxThroughput)
+	b = appendNum(append(b, `,"measuredThroughput":`...), est.MeasuredThroughput)
+	cov := &est.Coverage
+	b = strconv.AppendInt(append(b, `,"coverage":{"modelMetrics":`...), int64(cov.ModelMetrics), 10)
+	b = strconv.AppendInt(append(b, `,"dataMetrics":`...), int64(cov.DataMetrics), 10)
+	b = strconv.AppendInt(append(b, `,"shared":`...), int64(cov.Shared), 10)
+	if len(cov.DataOnly) > 0 {
+		b = appendArray(append(b, `,"dataOnly":`...), cov.DataOnly, appendStringAt)
+	}
+	if len(cov.ModelOnly) > 0 {
+		b = appendArray(append(b, `,"modelOnly":`...), cov.ModelOnly, appendStringAt)
+	}
+	b = append(b, '}')
+	if est.Hierarchy != nil {
+		b = appendHierarchy(append(b, `,"hierarchy":`...), est.Hierarchy)
+	}
+	if c := est.Combined; c != nil {
+		var fa finiteAppender
+		p := &c.Partition
+		b = fa.float(append(b, `,"combined":{"partition":{"wall":`...), p.Wall)
+		b = fa.float(append(b, `,"onCPU":`...), p.OnCPU)
+		b = fa.float(append(b, `,"offCPU":`...), p.OffCPU)
+		b = fa.float(append(b, `,"lockWait":`...), p.LockWait)
+		b = fa.float(append(b, `,"ioWait":`...), p.IOWait)
+		b = fa.float(append(b, `,"runnableWait":`...), p.RunnableWait)
+		b = strconv.AppendInt(append(b, `,"threads":`...), int64(p.Threads), 10)
+		b = append(b, '}')
+		if len(c.Waits) > 0 {
+			b = appendArray(append(b, `,"waits":`...), c.Waits, fa.wait)
+		}
+		if c.Knot {
+			b = append(b, `,"knot":true`...)
+		}
+		b = append(appendArray(append(b, `,"ranked":`...), c.Ranked, fa.bottleneck), '}')
+		if fa.err != nil {
+			return nil, fa.err
+		}
+	}
+	return append(b, '}'), nil
+}
+
+func appendMetricEstimate(b []byte, m *MetricEstimate) []byte {
+	b = appendString(append(b, `{"metric":`...), m.Metric)
+	b = appendNum(append(b, `,"meanEstimate":`...), m.MeanEstimate)
+	b = strconv.AppendInt(append(b, `,"samples":`...), int64(m.Samples), 10)
+	return append(appendNum(append(b, `,"meanIntensity":`...), m.MeanIntensity), '}')
+}
+
+func appendLevel(b []byte, l *LevelEstimate) []byte {
+	b = appendString(append(b, `{"level":`...), l.Level)
+	b = appendString(append(b, `,"metric":`...), l.Metric)
+	b = appendNum(append(b, `,"meanEstimate":`...), l.MeanEstimate)
+	b = strconv.AppendInt(append(b, `,"samples":`...), int64(l.Samples), 10)
+	return append(appendNum(append(b, `,"meanIntensity":`...), l.MeanIntensity), '}')
+}
+
+func appendSurface(b []byte, s *SurfaceEstimate) []byte {
+	b = append(b, '{')
+	if s.Name != "" {
+		b = append(appendString(append(b, `"name":`...), s.Name), ',')
+	}
+	b = appendString(append(b, `"param":`...), s.Param)
+	b = appendNum(append(b, `,"paramValue":`...), s.ParamValue)
+	b = appendNum(append(b, `,"ceiling":`...), s.Ceiling)
+	return append(strconv.AppendBool(append(b, `,"binding":`...), s.Binding), '}')
+}
+
+func appendHierarchy(b []byte, h *HierarchyEstimate) []byte {
+	b = appendString(append(b, `{"bindingLevel":`...), h.BindingLevel)
+	b = appendString(append(b, `,"bindingMetric":`...), h.BindingMetric)
+	b = appendNum(append(b, `,"bindingEstimate":`...), h.BindingEstimate)
+	b = appendNum(append(b, `,"boundThroughput":`...), h.BoundThroughput)
+	b = appendArray(append(b, `,"levels":`...), h.Levels, appendLevel)
+	if len(h.Surfaces) > 0 {
+		b = appendArray(append(b, `,"surfaces":`...), h.Surfaces, appendSurface)
+	}
+	return append(b, '}')
+}
+
+// finiteAppender appends the combined report, whose plain float64 fields
+// encoding/json refuses to encode when non-finite; err keeps the first
+// refusal.
+type finiteAppender struct{ err error }
+
+func (fa *finiteAppender) float(b []byte, f float64) []byte {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		if fa.err == nil {
+			fa.err = &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+		}
+		return b
+	}
+	return appendFloat(b, f)
+}
+
+func (fa *finiteAppender) wait(b []byte, v *WaitVerdict) []byte {
+	b = appendString(append(b, `{"kind":`...), v.Kind)
+	if v.Object != "" {
+		b = appendString(append(b, `,"object":`...), v.Object)
+	}
+	b = fa.float(append(b, `,"wait":`...), v.Wait)
+	b = fa.float(append(b, `,"share":`...), v.Share)
+	b = strconv.AppendInt(append(b, `,"waiters":`...), int64(v.Waiters), 10)
+	if len(v.Threads) > 0 {
+		b = appendArray(append(b, `,"threads":`...), v.Threads, func(b []byte, t *int) []byte {
+			return strconv.AppendInt(b, int64(*t), 10)
+		})
+	}
+	return append(b, '}')
+}
+
+func (fa *finiteAppender) bottleneck(b []byte, r *CombinedBottleneck) []byte {
+	b = appendString(append(b, `{"source":`...), r.Source)
+	b = fa.float(append(b, `,"score":`...), r.Score)
+	b = appendString(append(b, `,"detail":`...), r.Detail)
+	if r.Metric != "" {
+		b = appendString(append(b, `,"metric":`...), r.Metric)
+	}
+	if r.Wait != nil {
+		b = fa.wait(append(b, `,"wait":`...), r.Wait)
+	}
+	return append(b, '}')
+}
+
+// appendArray appends s as a JSON array of elem's encodings, or null
+// when s is nil.
+func appendArray[T any](b []byte, s []T, elem func([]byte, *T) []byte) []byte {
+	if s == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i := range s {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = elem(b, &s[i])
+	}
+	return append(b, ']')
+}
+
+// appendNum appends f as jsonNum's encoding: a JSON number when finite,
+// otherwise the string "+Inf", "-Inf" or "NaN".
+func appendNum(b []byte, f float64) []byte {
 	switch {
 	case math.IsInf(f, 1):
-		return []byte(`"+Inf"`), nil
+		return append(b, `"+Inf"`...)
 	case math.IsInf(f, -1):
-		return []byte(`"-Inf"`), nil
+		return append(b, `"-Inf"`...)
 	case math.IsNaN(f):
-		return []byte(`"NaN"`), nil
+		return append(b, `"NaN"`...)
 	}
-	return json.Marshal(f)
+	return appendFloat(b, f)
 }
 
-func (n *jsonNum) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
+// appendFloat appends finite f exactly as encoding/json encodes a
+// float64: like ES6 number-to-string, 'f' format between 1e-6 and 1e21
+// and 'e' outside it, with a single-digit negative exponent unpadded.
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-07 -> e-7
+		b = b[:n-1]
+	}
+	return b
+}
+
+func appendStringAt(b []byte, s *string) []byte { return appendString(b, *s) }
+
+const hexDigits = "0123456789abcdef"
+
+// appendString appends s as a JSON string exactly as encoding/json
+// escapes it with HTML escaping on (json.Marshal's default): quote,
+// backslash, control characters, '<', '>', '&', U+2028 and U+2029 are
+// escaped, and each invalid UTF-8 byte becomes \ufffd.
+func appendString(b []byte, s string) []byte {
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
 		}
-		switch s {
-		case "+Inf", "Inf":
-			*n = jsonNum(math.Inf(1))
-		case "-Inf":
-			*n = jsonNum(math.Inf(-1))
-		case "NaN":
-			*n = jsonNum(math.NaN())
-		default:
-			return fmt.Errorf("core: %q is not a number", s)
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 {
+			b = append(append(b, s[start:i]...), `\ufffd`...)
+			start = i + size
+		} else if r == '\u2028' || r == '\u2029' {
+			b = append(append(b, s[start:i]...), '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+			start = i + size
 		}
-		return nil
+		i += size
 	}
-	var f float64
-	if err := json.Unmarshal(b, &f); err != nil {
-		return err
-	}
-	*n = jsonNum(f)
-	return nil
-}
-
-// metricEstimateJSON mirrors MetricEstimate with total float encoding.
-type metricEstimateJSON struct {
-	Metric        string  `json:"metric"`
-	MeanEstimate  jsonNum `json:"meanEstimate"`
-	Samples       int     `json:"samples"`
-	MeanIntensity jsonNum `json:"meanIntensity"`
-}
-
-// MarshalJSON encodes the estimate with non-finite values spelled as
-// strings so that marshaling never fails.
-func (m MetricEstimate) MarshalJSON() ([]byte, error) {
-	return json.Marshal(metricEstimateJSON{
-		Metric:        m.Metric,
-		MeanEstimate:  jsonNum(m.MeanEstimate),
-		Samples:       m.Samples,
-		MeanIntensity: jsonNum(m.MeanIntensity),
-	})
-}
-
-// UnmarshalJSON is the inverse of MarshalJSON.
-func (m *MetricEstimate) UnmarshalJSON(b []byte) error {
-	var raw metricEstimateJSON
-	if err := json.Unmarshal(b, &raw); err != nil {
-		return err
-	}
-	*m = MetricEstimate{
-		Metric:        raw.Metric,
-		MeanEstimate:  float64(raw.MeanEstimate),
-		Samples:       raw.Samples,
-		MeanIntensity: float64(raw.MeanIntensity),
-	}
-	return nil
-}
-
-// levelEstimateJSON mirrors LevelEstimate with total float encoding.
-type levelEstimateJSON struct {
-	Level         string  `json:"level"`
-	Metric        string  `json:"metric"`
-	MeanEstimate  jsonNum `json:"meanEstimate"`
-	Samples       int     `json:"samples"`
-	MeanIntensity jsonNum `json:"meanIntensity"`
-}
-
-// MarshalJSON encodes the level estimate with non-finite values spelled
-// as strings so that marshaling never fails.
-func (l LevelEstimate) MarshalJSON() ([]byte, error) {
-	return json.Marshal(levelEstimateJSON{
-		Level:         l.Level,
-		Metric:        l.Metric,
-		MeanEstimate:  jsonNum(l.MeanEstimate),
-		Samples:       l.Samples,
-		MeanIntensity: jsonNum(l.MeanIntensity),
-	})
-}
-
-// UnmarshalJSON is the inverse of MarshalJSON.
-func (l *LevelEstimate) UnmarshalJSON(b []byte) error {
-	var raw levelEstimateJSON
-	if err := json.Unmarshal(b, &raw); err != nil {
-		return err
-	}
-	*l = LevelEstimate{
-		Level:         raw.Level,
-		Metric:        raw.Metric,
-		MeanEstimate:  float64(raw.MeanEstimate),
-		Samples:       raw.Samples,
-		MeanIntensity: float64(raw.MeanIntensity),
-	}
-	return nil
-}
-
-// surfaceEstimateJSON mirrors SurfaceEstimate with total float encoding.
-type surfaceEstimateJSON struct {
-	Name       string  `json:"name,omitempty"`
-	Param      string  `json:"param"`
-	ParamValue jsonNum `json:"paramValue"`
-	Ceiling    jsonNum `json:"ceiling"`
-	Binding    bool    `json:"binding"`
-}
-
-// MarshalJSON encodes the surface estimate with non-finite values spelled
-// as strings so that marshaling never fails.
-func (s SurfaceEstimate) MarshalJSON() ([]byte, error) {
-	return json.Marshal(surfaceEstimateJSON{
-		Name:       s.Name,
-		Param:      s.Param,
-		ParamValue: jsonNum(s.ParamValue),
-		Ceiling:    jsonNum(s.Ceiling),
-		Binding:    s.Binding,
-	})
-}
-
-// UnmarshalJSON is the inverse of MarshalJSON.
-func (s *SurfaceEstimate) UnmarshalJSON(b []byte) error {
-	var raw surfaceEstimateJSON
-	if err := json.Unmarshal(b, &raw); err != nil {
-		return err
-	}
-	*s = SurfaceEstimate{
-		Name:       raw.Name,
-		Param:      raw.Param,
-		ParamValue: float64(raw.ParamValue),
-		Ceiling:    float64(raw.Ceiling),
-		Binding:    raw.Binding,
-	}
-	return nil
-}
-
-// hierarchyEstimateJSON mirrors HierarchyEstimate with total float
-// encoding.
-type hierarchyEstimateJSON struct {
-	BindingLevel    string            `json:"bindingLevel"`
-	BindingMetric   string            `json:"bindingMetric"`
-	BindingEstimate jsonNum           `json:"bindingEstimate"`
-	BoundThroughput jsonNum           `json:"boundThroughput"`
-	Levels          []LevelEstimate   `json:"levels"`
-	Surfaces        []SurfaceEstimate `json:"surfaces,omitempty"`
-}
-
-// MarshalJSON encodes the hierarchy estimate with non-finite values
-// spelled as strings so that marshaling never fails.
-func (h HierarchyEstimate) MarshalJSON() ([]byte, error) {
-	return json.Marshal(hierarchyEstimateJSON{
-		BindingLevel:    h.BindingLevel,
-		BindingMetric:   h.BindingMetric,
-		BindingEstimate: jsonNum(h.BindingEstimate),
-		BoundThroughput: jsonNum(h.BoundThroughput),
-		Levels:          h.Levels,
-		Surfaces:        h.Surfaces,
-	})
-}
-
-// UnmarshalJSON is the inverse of MarshalJSON.
-func (h *HierarchyEstimate) UnmarshalJSON(b []byte) error {
-	var raw hierarchyEstimateJSON
-	if err := json.Unmarshal(b, &raw); err != nil {
-		return err
-	}
-	*h = HierarchyEstimate{
-		BindingLevel:    raw.BindingLevel,
-		BindingMetric:   raw.BindingMetric,
-		BindingEstimate: float64(raw.BindingEstimate),
-		BoundThroughput: float64(raw.BoundThroughput),
-		Levels:          raw.Levels,
-		Surfaces:        raw.Surfaces,
-	}
-	return nil
-}
-
-// estimationJSON mirrors Estimation with total float encoding. Hierarchy
-// and Combined are additive and omitted when nil, so flat estimations
-// encode exactly as they did before either field existed. Combined's own
-// floats are cycle counts and shares, finite by construction, so the
-// report nests without a jsonNum mirror of its own.
-type estimationJSON struct {
-	PerMetric          []MetricEstimate   `json:"perMetric"`
-	MaxThroughput      jsonNum            `json:"maxThroughput"`
-	MeasuredThroughput jsonNum            `json:"measuredThroughput"`
-	Coverage           CoverageReport     `json:"coverage"`
-	Hierarchy          *HierarchyEstimate `json:"hierarchy,omitempty"`
-	Combined           *CombinedReport    `json:"combined,omitempty"`
-}
-
-// MarshalJSON encodes the estimation with non-finite values spelled as
-// strings so that marshaling never fails.
-func (est Estimation) MarshalJSON() ([]byte, error) {
-	return json.Marshal(estimationJSON{
-		PerMetric:          est.PerMetric,
-		MaxThroughput:      jsonNum(est.MaxThroughput),
-		MeasuredThroughput: jsonNum(est.MeasuredThroughput),
-		Coverage:           est.Coverage,
-		Hierarchy:          est.Hierarchy,
-		Combined:           est.Combined,
-	})
-}
-
-// UnmarshalJSON is the inverse of MarshalJSON.
-func (est *Estimation) UnmarshalJSON(b []byte) error {
-	var raw estimationJSON
-	if err := json.Unmarshal(b, &raw); err != nil {
-		return err
-	}
-	*est = Estimation{
-		PerMetric:          raw.PerMetric,
-		MaxThroughput:      float64(raw.MaxThroughput),
-		MeasuredThroughput: float64(raw.MeasuredThroughput),
-		Coverage:           raw.Coverage,
-		Hierarchy:          raw.Hierarchy,
-		Combined:           raw.Combined,
-	}
-	return nil
+	return append(append(b, s[start:]...), '"')
 }
 
 // CheckInvariants verifies every roofline in the ensemble against the

@@ -153,6 +153,48 @@ func TestEstimationJSONTotal(t *testing.T) {
 	}
 }
 
+// TestEstimationJSONSections: a full estimation — hierarchy, combined
+// report, strings that need escaping — round-trips through MarshalJSON
+// and UnmarshalJSON, with HTML-special characters escaped as json.Marshal
+// escapes them, and a non-finite float in the combined report fails the
+// encoding with encoding/json's own error.
+func TestEstimationJSONSections(t *testing.T) {
+	wait := &WaitVerdict{Kind: "lock", Object: "m<1>", Wait: 4, Share: 0.25, Waiters: 2, Threads: []int{1, 2}}
+	est := Estimation{
+		PerMetric: []MetricEstimate{{Metric: "a&b\t\"\u2028\x01", MeanEstimate: 1e-7, Samples: 2, MeanIntensity: 1e21}},
+		Coverage:  CoverageReport{DataOnly: []string{"d"}, ModelOnly: []string{"m"}},
+		Hierarchy: &HierarchyEstimate{BindingLevel: "L1", Levels: []LevelEstimate{{Level: "L1", Metric: "x", MeanIntensity: math.Inf(-1)}},
+			Surfaces: []SurfaceEstimate{{Name: "s", Param: "p", ParamValue: 2, Ceiling: 3, Binding: true}}},
+		Combined: &CombinedReport{
+			Partition: TimePartition{Wall: 16, OnCPU: 12, OffCPU: 4, LockWait: 4, Threads: 2},
+			Waits:     []WaitVerdict{*wait},
+			Knot:      true,
+			Ranked:    []CombinedBottleneck{{Source: "wait", Score: 0.25, Detail: "lock", Wait: wait}, {Source: "roofline", Score: 0.1, Metric: "x"}},
+		},
+	}
+	raw, err := json.Marshal(est)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`a\u0026b\t\"\u2028\u0001`, `m\u003c1\u003e`, `"meanEstimate":1e-7`, `"meanIntensity":1e+21`, `"-Inf"`} {
+		if !strings.Contains(string(raw), want) {
+			t.Errorf("encoding lacks %s: %s", want, raw)
+		}
+	}
+	var back Estimation
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	again, err := json.Marshal(back)
+	if err != nil || !bytes.Equal(again, raw) {
+		t.Fatalf("round trip changed the encoding:\n%s\n%s (%v)", raw, again, err)
+	}
+	est.Combined.Ranked[1].Score = math.NaN()
+	if _, err := json.Marshal(est); err == nil || !strings.HasSuffix(err.Error(), "json: unsupported value: NaN") {
+		t.Errorf("a NaN in the combined report encoded with error %v", err)
+	}
+}
+
 func TestEnsembleCheckInvariants(t *testing.T) {
 	ens := trainGoldenEnsemble(t)
 	if err := ens.CheckInvariants(); err != nil {

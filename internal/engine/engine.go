@@ -103,7 +103,12 @@ func Default() *Engine {
 // repeats from the content-hash LRU. The second result reports whether
 // the lookup hit.
 func (e *Engine) Index(samples []core.Sample) (*core.WorkloadIndex, bool) {
-	key := workloadKey(samples)
+	return e.IndexKeyed(workloadKey(samples), samples)
+}
+
+// IndexKeyed is Index for a caller holding the samples' WorkloadKey, so
+// a request that needs the key elsewhere hashes its workload once.
+func (e *Engine) IndexKeyed(key string, samples []core.Sample) (*core.WorkloadIndex, bool) {
 	ix, hit := e.cache.Get(key)
 	if hit {
 		e.mCacheHits.Inc()

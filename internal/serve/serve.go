@@ -467,7 +467,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ix, hit := s.engine.Index(req.Samples)
+	key := engine.WorkloadKey(req.Samples) // keys the index LRU and the response cache
+	ix, hit := s.engine.IndexKeyed(key, req.Samples)
 	if dropped := len(req.Samples) - ix.Len(); dropped > 0 {
 		s.mQuarantined.Add(float64(dropped))
 	}
@@ -512,7 +513,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Remember the exact bytes for the saturated fast path.
-	s.resp.Put(respKey(info.ID, engine.WorkloadKey(req.Samples), req.Top, ct, schedKey(req.Sched)), raw)
+	s.resp.Put(respKey(info.ID, key, req.Top, ct, schedKey(req.Sched)), raw)
 	s.mEstimates.Inc()
 	if h := est.Hierarchy; h != nil {
 		// Lazily registered so flat deployments expose exactly the

@@ -1,8 +1,14 @@
 // Package wire owns the /v1/estimate schema in both of its encodings —
-// JSON and SPB1 — and the HTTP format negotiation between them. Serve,
-// the `spire route` router and the Go client all decode requests with
-// ReadEstimateRequest and encode responses with EncodeEstimateResponse,
-// so a field or a strictness rule is defined here once.
+// JSON and SPB1 — and the HTTP format negotiation between them. Serve
+// and the `spire route` router read request bodies with ReadBody (serve
+// through ReadEstimateRequest) and decode them with DecodeEstimateBody;
+// serve encodes responses with EncodeEstimateResponse. A field or a
+// strictness rule is defined here once.
+//
+// The JSON codec sits behind the encoding/json interfaces, so every caller
+// of encoding/json runs it: EstimateRequest.UnmarshalJSON (json.go) scans
+// the canonical request by hand, core.Estimation.MarshalJSON is one append
+// encoder. Bodies are read and responses built in pooled buffers.
 //
 // SPB1 is spire's compact length-prefixed binary format for the
 // estimation API and the stream feed. It exists for the hot serving
@@ -85,32 +91,66 @@ func ResponseType(accept string) string {
 	return ContentTypeJSON
 }
 
-// ReadEstimateRequest decodes one /v1/estimate request body in the
-// format contentType declares. SPB1 is read whole and decoded; a
-// *bytes.Buffer body is decoded in place, without a copy. JSON is
-// decoded streaming from body: unknown fields are ignored (among them
-// the "workers" field older clients send) and trailing data after the
-// value is an error. Read errors, http.MaxBytesError included, come back
-// unwrapped. A JSON string longer than SPB1 can carry is an error too,
-// since the router re-encodes every decodable body to SPB1.
+// ReadEstimateRequest reads one /v1/estimate request body whole into a
+// pooled buffer and decodes it with DecodeEstimateBody. Read errors,
+// http.MaxBytesError included, come back unwrapped. The buffer is not sized
+// from Content-Length: pooled buffers keep their capacity from request to
+// request.
 func ReadEstimateRequest(body io.Reader, contentType string) (*EstimateRequest, error) {
-	if IsBinMedia(contentType) {
-		if buf, ok := body.(*bytes.Buffer); ok {
-			return DecodeEstimateRequest(buf.Bytes())
-		}
-		raw, err := io.ReadAll(body)
-		if err != nil {
-			return nil, err
-		}
-		return DecodeEstimateRequest(raw)
-	}
-	req := new(EstimateRequest)
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(req); err != nil {
+	buf := getBuffer()
+	defer putBuffer(buf)
+	if _, err := ReadBody(buf, body, -1); err != nil {
 		return nil, err
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, errors.New("trailing data after JSON body")
+	return DecodeEstimateBody(buf.Bytes(), contentType)
+}
+
+// ReadBody reads body whole into buf and returns buf's bytes. declared is
+// the sender's Content-Length, negative when unknown. buf grows to at most
+// 64 KiB before a byte arrives and then to at most 4× what has arrived, never
+// past declared: a sender can announce the body cap and then stall.
+func ReadBody(buf *bytes.Buffer, body io.Reader, declared int64) ([]byte, error) {
+	b := buf.Bytes()
+	for {
+		if len(b) == cap(b) {
+			n := max(4*len(b), 64<<10)
+			if declared > int64(len(b)) {
+				n = min(n, int(declared))
+			}
+			b = append(make([]byte, 0, n+bytes.MinRead), b...) // one allocation per step
+		}
+		m, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+m]
+		if err != nil {
+			*buf = *bytes.NewBuffer(b) // buf keeps the grown slice, for its pool
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+	}
+}
+
+// DecodeEstimateBody decodes one whole /v1/estimate body in the format
+// contentType declares, keeping no reference to body. JSON goes through
+// json.Unmarshal, ignoring unknown fields (such as older clients' "workers");
+// a rejected body is decoded again by a json.Decoder only so the error reads
+// as it always has. JSON strings too long for SPB1, which the router
+// re-encodes to, are an error.
+func DecodeEstimateBody(body []byte, contentType string) (*EstimateRequest, error) {
+	if IsBinMedia(contentType) {
+		return DecodeEstimateRequest(body)
+	}
+	req := new(EstimateRequest)
+	if err := json.Unmarshal(body, req); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		if derr := dec.Decode(new(EstimateRequest)); derr != nil {
+			return nil, derr
+		}
+		if _, derr := dec.Token(); derr != io.EOF {
+			return nil, errors.New("trailing data after JSON body")
+		}
+		return nil, err
 	}
 	if err := CheckEstimateRequest(req); err != nil {
 		return nil, err
@@ -136,17 +176,19 @@ func CheckEstimateRequest(req *EstimateRequest) error {
 
 // EncodeEstimateResponse renders res as a 200 /v1/estimate body in the
 // format the Accept header negotiates (see ResponseType) and returns it
-// with its Content-Type. The JSON form is json.Marshal plus a newline.
+// with its Content-Type: what a json.Encoder writes (json.Marshal's bytes
+// plus a newline) or AppendEstimateResponse's frame, built in a pooled
+// buffer and returned as an exact-size copy the caller may keep.
 func EncodeEstimateResponse(res *EstimateResponse, accept string) ([]byte, string, error) {
 	ct := ResponseType(accept)
+	buf := getBuffer()
+	defer putBuffer(buf)
 	if ct == ContentTypeBin {
-		return AppendEstimateResponse(nil, res), ct, nil
-	}
-	raw, err := json.Marshal(res)
-	if err != nil {
+		buf.Write(AppendEstimateResponse(buf.AvailableBuffer(), res))
+	} else if err := json.NewEncoder(buf).Encode(res); err != nil {
 		return nil, ct, err
 	}
-	return append(raw, '\n'), ct, nil
+	return bytes.Clone(buf.Bytes()), ct, nil
 }
 
 // Msg identifies a frame's message type.
