@@ -32,10 +32,15 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Static analysis beyond vet: staticcheck and govulncheck at pinned
-# versions. Tool-fetch failures (offline container, proxy outage) are
-# detected and skipped; analysis findings fail.
+# Static analysis beyond vet: gofmt over every Go file of the repo (both
+# modules), then staticcheck and govulncheck at pinned versions. gofmt
+# ships with the toolchain, so it runs offline too; tool-fetch failures of
+# the other two (offline container, proxy outage) are detected and
+# skipped; analysis findings fail.
 lint:
+	@out=$$(gofmt -l *.go cmd internal examples spirebench); \
+	if [ -n "$$out" ]; then echo "gofmt: these files need formatting:"; echo "$$out"; exit 1; fi; \
+	echo "gofmt: ok"
 	@out=$$($(GO) run $(STATICCHECK_VERSION) ./... 2>&1); status=$$?; \
 	if [ $$status -ne 0 ] && echo "$$out" | grep -Eq 'no such host|connection refused|i/o timeout|dial tcp|proxyconnect|TLS handshake|Get "https?://|no required module provides|cannot find module|missing go.sum entry'; then \
 		echo "lint: staticcheck unavailable offline, skipping:"; echo "$$out" | head -3; \
@@ -87,7 +92,7 @@ fuzz:
 # incremental ingest parsers and their agreement, the roofline fitter,
 # the parallel trainer, the model loader, the sliding-window merge, and
 # the serving tier's estimate handler and model-upload decoder, and the
-# /v1/estimate JSON codec against encoding/json.
+# /v1/estimate JSON codec and its direct scan against encoding/json.
 fuzz-short:
 	$(GO) test -fuzz FuzzPerfStatCSV -fuzztime 10s ./internal/ingest/
 	$(GO) test -fuzz FuzzStreamFeed -fuzztime 10s ./internal/ingest/
@@ -103,6 +108,7 @@ fuzz-short:
 	$(GO) test -fuzz FuzzBinDecodeEstimate -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz FuzzBinRoundTrip -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz FuzzJSONCodecAgree -fuzztime 10s ./internal/wire/
+	$(GO) test -fuzz FuzzScanEstimateJSON -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz FuzzParseConfig -fuzztime 10s ./internal/cluster/
 	$(GO) test -fuzz FuzzParseShardList -fuzztime 10s ./internal/cluster/
 	$(GO) test -fuzz FuzzSchedEventParse -fuzztime 10s ./internal/ingest/

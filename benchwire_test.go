@@ -5,8 +5,9 @@ package spire_test
 // response encode of one /v1/estimate exchange, and the workload content
 // key, on a request shaped like the serving benchmark's serve-hot
 // traffic — 347 samples over the 68 modelled PMU events, integer-valued
-// counters. BENCH_wire.json records them; allocs/op is gated exactly,
-// ns/op is recorded for context only.
+// counters — and the router's step from body to placement key and
+// upstream frame on a route-cold-shaped request. BENCH_wire.json records
+// them; allocs/op is gated exactly, ns/op is recorded for context only.
 
 import (
 	"bytes"
@@ -16,6 +17,7 @@ import (
 	"os"
 	"testing"
 
+	"spire/internal/cluster"
 	"spire/internal/core"
 	"spire/internal/engine"
 	"spire/internal/pmu"
@@ -100,7 +102,58 @@ func BenchmarkWorkloadKey(b *testing.B) {
 	}
 }
 
-// TestBenchGateWire re-measures the three codec benchmarks, best of 3,
+// routeBenchBody is a route-cold-shaped request in JSON or SPB1: 2,000
+// samples over the 68 modelled PMU events, integer-valued counters and
+// 8-digit window numbers.
+func routeBenchBody(bin bool) ([]byte, string) {
+	events := pmu.MetricEvents()
+	rng := rand.New(rand.NewSource(3))
+	req := &wire.EstimateRequest{}
+	for i := 0; i < 2000; i++ {
+		t := math.Round(50000 * (1 + 0.02*rng.Float64()))
+		req.Samples = append(req.Samples, core.Sample{
+			Metric: events[i%len(events)].Name,
+			T:      t,
+			W:      math.Round(t * 2.5 * rng.Float64()),
+			M:      math.Round(t * rng.Float64() / 8),
+			Window: 10_000_000 + i/len(events),
+		})
+	}
+	if bin {
+		return wire.AppendEstimateRequest(nil, req), wire.ContentTypeBin
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		panic(err)
+	}
+	return body, wire.ContentTypeJSON
+}
+
+// benchRouteEstimateBody measures the router's step for one encoding: the
+// body read, decoded and keyed, and the upstream body chosen.
+func benchRouteEstimateBody(bin bool) func(*testing.B) {
+	return func(b *testing.B) {
+		body, ct := routeBenchBody(bin)
+		rd := bytes.NewReader(body)
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rd.Reset(body)
+			key, up, upCT, err := cluster.RouteEstimateBody(rd, int64(len(body)), ct)
+			if err != nil || key == "" || len(up) == 0 || upCT != wire.ContentTypeBin {
+				b.Fatalf("routed to %q with %d bytes of %q: %v", key, len(up), upCT, err)
+			}
+		}
+	}
+}
+
+func BenchmarkRouteEstimateBody(b *testing.B) {
+	b.Run("json", benchRouteEstimateBody(false))
+	b.Run("spb1", benchRouteEstimateBody(true))
+}
+
+// TestBenchGateWire re-measures the codec and routing benchmarks, best of 3,
 // and fails when any one's allocs/op differs from BENCH_wire.json.
 func TestBenchGateWire(t *testing.T) {
 	if os.Getenv("BENCH_GATE") == "" {
@@ -115,9 +168,11 @@ func TestBenchGateWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, bench := range map[string]func(*testing.B){
-		"BenchmarkWireJSONDecode": BenchmarkWireJSONDecode,
-		"BenchmarkWireJSONEncode": BenchmarkWireJSONEncode,
-		"BenchmarkWorkloadKey":    BenchmarkWorkloadKey,
+		"BenchmarkWireJSONDecode":         BenchmarkWireJSONDecode,
+		"BenchmarkWireJSONEncode":         BenchmarkWireJSONEncode,
+		"BenchmarkWorkloadKey":            BenchmarkWorkloadKey,
+		"BenchmarkRouteEstimateBody/json": benchRouteEstimateBody(false),
+		"BenchmarkRouteEstimateBody/spb1": benchRouteEstimateBody(true),
 	} {
 		want, ok := rec.Benchmarks[name]
 		if !ok {

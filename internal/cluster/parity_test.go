@@ -231,6 +231,72 @@ func TestClusterByteParity(t *testing.T) {
 	}
 }
 
+// scanParityRequests are JSON bodies at the edge of the router's direct
+// scan (wire.ScanEstimateJSON), each kind with both Accepts: an escaped
+// metric, a leading-zero number, a raw control byte in a metric and a
+// fractional window go through the encoding/json fallback, while the same
+// request spaced out around every token is scanned directly.
+func scanParityRequests(r *rand.Rand) []parityReq {
+	// Every kind edits one canonical body whose first sample is a valid
+	// "cycles" sample without a window, followed by samples of both
+	// modelled metrics.
+	samples := append([]core.Sample{{Metric: "cycles", T: 1 + r.Float64(), W: 3, M: 2}},
+		core.Sample{Metric: "m1", T: 2, W: 8, M: 5}, core.Sample{Metric: "m2", T: 2, W: 8, M: 3})
+	samples = append(samples, randSamples(r)...)
+	base, err := json.Marshal(wire.EstimateRequest{Samples: samples, Top: r.Intn(4)})
+	if err != nil {
+		panic(err)
+	}
+	edit := func(old, new string) []byte { return bytes.Replace(base, []byte(old), []byte(new), 1) }
+	var spaced bytes.Buffer
+	for _, tok := range base {
+		if bytes.IndexByte([]byte("{}[]:,"), tok) >= 0 {
+			spaced.WriteString(" \n\t" + string(tok) + "\r\n ")
+		} else {
+			spaced.WriteByte(tok)
+		}
+	}
+	var reqs []parityReq
+	for _, c := range []struct {
+		kind string
+		body []byte
+	}{
+		{"escaped-metric", edit(`"cycles"`, `"\u0063ycles"`)},
+		{"leading-zero", edit(`"t":1`, `"t":01`)},
+		{"control-byte", edit(`"cycles"`, "\"cyc\x01les\"")},
+		{"window-1.0", edit(`"m":`, `"window":1.0,"m":`)},
+		{"spaced", spaced.Bytes()},
+	} {
+		for _, accept := range []string{"", wire.ContentTypeBin} {
+			reqs = append(reqs, parityReq{kind: c.kind, body: c.body, contentType: "application/json", accept: accept})
+		}
+	}
+	return reqs
+}
+
+// TestClusterParityScanFallback: for bodies the router's direct scan
+// refuses, and a spaced-out body it accepts, the routed status,
+// Content-Type, X-Spire-Model and body equal a single node's.
+func TestClusterParityScanFallback(t *testing.T) {
+	_, model := testutil.TrainModel(t, 1)
+	single := startSingle(t, serve.Config{}, model)
+	tc := startCluster(t, clusterOpts{shards: 2})
+	tc.waitConverged(t, tc.pushModel(t, model), 5_000_000_000)
+
+	for _, pr := range scanParityRequests(rand.New(rand.NewSource(19))) {
+		if _, ok := wire.ScanEstimateJSON(pr.body); ok != (pr.kind == "spaced") {
+			t.Fatalf("%s: direct scan accepted %v: %q", pr.kind, ok, pr.body)
+		}
+		sStatus, sCT, sModel, sBody := doEstimate(t, single.URL, pr)
+		cStatus, cCT, cModel, cBody := doEstimate(t, tc.url, pr)
+		t.Logf("%s (Accept %q): %d, %d bytes", pr.kind, pr.accept, cStatus, len(cBody))
+		if sStatus != cStatus || sCT != cCT || sModel != cModel || !bytes.Equal(sBody, cBody) {
+			t.Errorf("%s (Accept %q): single=(%d, %s, model=%q) cluster=(%d, %s, model=%q)\nsingle body: %.200s\ncluster body: %.200s",
+				pr.kind, pr.accept, sStatus, sCT, sModel, cStatus, cCT, cModel, sBody, cBody)
+		}
+	}
+}
+
 // TestClusterParityIngest extends the differential to the stateless
 // parse route, JSON and CSV alike.
 func TestClusterParityIngest(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httputil"
@@ -366,7 +367,12 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 
 // readBody buffers the body, up to the cap, as a shard reads it.
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	return wire.ReadBody(new(bytes.Buffer), http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes), min(r.ContentLength, rt.cfg.MaxBodyBytes))
+	return wire.ReadBody(new(bytes.Buffer), rt.capped(w, r), min(r.ContentLength, rt.cfg.MaxBodyBytes))
+}
+
+// capped limits r's body to the cap, as a shard does.
+func (rt *Router) capped(w http.ResponseWriter, r *http.Request) io.Reader {
+	return http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
 }
 
 // rejectRead answers a body read error as a shard does: 413 past the cap,
@@ -391,40 +397,63 @@ func bodyKey(body []byte) string {
 	return fmt.Sprintf("body:%x", h.Sum64())
 }
 
-// handleEstimate decodes the workload (JSON or SPB1), routes by the
-// engine's workload content key, and relays the shard's bytes
-// verbatim. The shard hop is always SPB1 when the body decodes — the
-// compact encoding — while the response encoding follows the client's
+// RouteEstimateBody reads one /v1/estimate body (declared is its
+// Content-Length, negative when unknown) and returns the key that places
+// it and the body and Content-Type to send the shard. A body the shard
+// would decode is placed by its engine workload key. JSON — canonical JSON
+// in one scan, anything else through DecodeEstimateBody — goes upstream as
+// an SPB1 frame unless the frame is the longer; SPB1 goes as it came. JSON
+// is read into a pooled buffer, released once a frame replaces it.
+// Undecodable or empty bodies go as they came under a content hash, so a
+// shard answers with its own error.
+func RouteEstimateBody(body io.Reader, declared int64, contentType string) (key string, upstream []byte, upstreamCT string, err error) {
+	bin := wire.IsBinMedia(contentType)
+	buf := new(bytes.Buffer) // SPB1 goes upstream from its read buffer
+	if !bin {
+		buf = wire.GetBuffer()
+	}
+	raw, err := wire.ReadBody(buf, body, declared)
+	if err != nil {
+		wire.PutBuffer(buf)
+		return "", nil, "", err
+	}
+	req, ok := (*wire.EstimateRequest)(nil), false
+	if !bin {
+		req, ok = wire.ScanEstimateJSON(raw)
+	}
+	if !ok {
+		req, err = wire.DecodeEstimateBody(raw, contentType)
+	}
+	if err != nil || len(req.Samples) == 0 {
+		return bodyKey(raw), raw, contentType, nil
+	}
+	key = engine.WorkloadKey(req.Samples)
+	if bin {
+		return key, raw, wire.ContentTypeBin, nil
+	}
+	frame := wire.EncodeEstimateRequest(req, len(raw))
+	if frame == nil {
+		return key, raw, contentType, nil
+	}
+	wire.PutBuffer(buf)
+	return key, frame, wire.ContentTypeBin, nil
+}
+
+// handleEstimate routes an estimate by RouteEstimateBody's key and relays
+// the shard's bytes verbatim. The response encoding follows the client's
 // own Accept header, which passes through untouched.
 func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	const route = "/v1/estimate"
-	body, err := rt.readBody(w, r)
+	key, body, ct, err := RouteEstimateBody(rt.capped(w, r), min(r.ContentLength, rt.cfg.MaxBodyBytes), r.Header.Get("Content-Type"))
 	if err != nil {
 		rt.rejectRead(w, route, err)
 		return
 	}
-
-	key := ""
-	upstreamBody := body
-	upstreamCT := r.Header.Get("Content-Type")
-	// The same reader the shard uses, so a body the shard would reject
-	// fails here too and is forwarded raw instead.
-	if req, err := wire.DecodeEstimateBody(body, upstreamCT); err == nil && len(req.Samples) > 0 {
-		key = engine.WorkloadKey(req.Samples)
-		upstreamBody = wire.AppendEstimateRequest(nil, req)
-		upstreamCT = wire.ContentTypeBin
-	} else {
-		// Undecodable or empty payloads still route — to a stable shard
-		// — so the client receives the shard's canonical error body,
-		// byte-identical to what a single node would say.
-		key = bodyKey(body)
-	}
-
 	rt.serveRelay(w, r, route, key, client.RawRequest{
 		Path:        "/v1/estimate",
 		Query:       r.URL.RawQuery,
-		Body:        upstreamBody,
-		ContentType: upstreamCT,
+		Body:        body,
+		ContentType: ct,
 		Accept:      r.Header.Get("Accept"),
 		Tenant:      r.Header.Get(client.TenantHeader),
 		Idempotent:  true,

@@ -77,15 +77,15 @@ const (
 )
 
 type threadState struct {
-	state    wState
-	at       float64 // time of last accepted event
-	obj      string  // lock/device while blocked
-	holder   int     // lock holder recorded at block time (-1 unknown)
-	times    ThreadTimes
-	seen     bool
-	lockAcc  float64 // wait accumulated in the current blocked-on-lock span
-	ioAcc    float64
-	runnAcc  float64
+	state   wState
+	at      float64 // time of last accepted event
+	obj     string  // lock/device while blocked
+	holder  int     // lock holder recorded at block time (-1 unknown)
+	times   ThreadTimes
+	seen    bool
+	lockAcc float64 // wait accumulated in the current blocked-on-lock span
+	ioAcc   float64
+	runnAcc float64
 }
 
 type edgeKey struct {

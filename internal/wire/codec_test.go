@@ -107,3 +107,28 @@ func TestReadEstimateRequestStringLimit(t *testing.T) {
 		}
 	}
 }
+
+// TestEncodeEstimateRequestSize: EncodeEstimateRequest writes
+// AppendEstimateRequest's bytes into a slice of exactly their length,
+// strings over SPB1's limit (which the encoder truncates) included, and
+// returns nil when the frame is longer than the limit.
+func TestEncodeEstimateRequestSize(t *testing.T) {
+	long := strings.Repeat("x", math.MaxUint16+9)
+	for _, req := range []*EstimateRequest{
+		{},
+		{Top: 3, Samples: []core.Sample{{Metric: "a", T: 1}, {Metric: "b"}, {Metric: "a", Window: -2}}},
+		{Samples: []core.Sample{{Metric: long}}, Sched: []core.SchedEvent{{Class: "c", Obj: long}, {Time: 1}}},
+	} {
+		want := AppendEstimateRequest(nil, req)
+		got := EncodeEstimateRequest(req, len(want))
+		if !bytes.Equal(got, want) || cap(got) != len(want) {
+			t.Fatalf("EncodeEstimateRequest gave %d bytes (cap %d), want AppendEstimateRequest's %d", len(got), cap(got), len(want))
+		}
+		if got := EncodeEstimateRequest(req, len(want)-1); got != nil {
+			t.Fatalf("a %d-byte frame came back under a %d-byte limit", len(got), len(want)-1)
+		}
+		if got := AppendEstimateRequest([]byte("head"), req); !bytes.Equal(got[4:], want) {
+			t.Fatal("AppendEstimateRequest after existing bytes differs")
+		}
+	}
+}

@@ -16,8 +16,13 @@ const maxPooledBuffer = 1 << 20
 
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-func getBuffer() *bytes.Buffer { return bufPool.Get().(*bytes.Buffer) }
-func putBuffer(b *bytes.Buffer) {
+// GetBuffer returns an empty buffer from the pool that request bodies are
+// read into and responses built in.
+func GetBuffer() *bytes.Buffer { return bufPool.Get().(*bytes.Buffer) }
+
+// PutBuffer returns b to the pool unless it has grown past 1 MiB. Nothing
+// may use b, or a slice of its bytes, afterwards.
+func PutBuffer(b *bytes.Buffer) {
 	if b.Cap() > maxPooledBuffer {
 		return
 	}
@@ -29,19 +34,30 @@ func putBuffer(b *bytes.Buffer) {
 // method-free type under EstimateRequest's own name.
 type estimateRequest = EstimateRequest
 
-// UnmarshalJSON decodes a request. A hand scanner reads the canonical
-// shape — what json.Marshal writes, whitespace allowed: known exact-case
-// keys at most once per object, numbers parsed by strconv as encoding/json
-// parses them, strings free of escapes in valid UTF-8 — sizing each slice
-// once and copying one string per distinct name out of b. Anything else
-// (escapes, other key case, duplicate or unknown keys, null, fractional or
-// overflowing numbers, invalid UTF-8, a non-zero receiver) is decoded by
+// ScanEstimateJSON decodes a JSON body in the canonical shape — what
+// json.Marshal writes, whitespace allowed: known exact-case keys at most
+// once per object, numbers in JSON's grammar parsed by strconv as
+// encoding/json parses them, escape-free strings in valid UTF-8 without
+// control bytes — and runs CheckEstimateRequest, in one pass, without
+// encoding/json and keeping no reference to body. What it accepts,
+// DecodeEstimateBody decodes to the same request; anything else (escapes,
+// other key case, duplicate or unknown keys, null, fractional or
+// overflowing numbers, bad input) returns false.
+func ScanEstimateJSON(body []byte) (*EstimateRequest, bool) {
+	req := new(EstimateRequest)
+	if !scanRequest(body, req) || CheckEstimateRequest(req) != nil {
+		return nil, false
+	}
+	return req, true
+}
+
+// UnmarshalJSON decodes a request with ScanEstimateJSON's scanner. A body
+// outside the canonical shape, or a non-zero receiver, is decoded by
 // reflection into a method-free type of the same name, so results and
-// error texts are encoding/json's own. Like any Unmarshaler it relies on
-// encoding/json having checked that b is valid JSON.
+// error texts are encoding/json's own.
 func (req *EstimateRequest) UnmarshalJSON(b []byte) error {
 	if req.Samples == nil && req.Sched == nil && req.Top == 0 {
-		if s := (reqScanner{b: b, names: map[string]string{}}); s.request(req) {
+		if scanRequest(b, req) {
 			return nil
 		}
 		*req = EstimateRequest{}
@@ -58,7 +74,10 @@ type reqScanner struct {
 	names map[string]string
 }
 
-func (s *reqScanner) request(req *EstimateRequest) bool {
+// scanRequest reads b into req, reporting whether b is in the canonical
+// shape.
+func scanRequest(b []byte, req *EstimateRequest) bool {
+	s := &reqScanner{b: b, names: map[string]string{}}
 	s.object(func(k []byte) bool {
 		switch string(k) {
 		case "samples":
@@ -191,6 +210,11 @@ func (s *reqScanner) ws() {
 // next skips whitespace and consumes c if it comes next.
 func (s *reqScanner) next(c byte) bool {
 	s.ws()
+	return s.skip(c)
+}
+
+// skip consumes c if it comes next.
+func (s *reqScanner) skip(c byte) bool {
 	if s.i < len(s.b) && s.b[s.i] == c {
 		s.i++
 		return true
@@ -198,7 +222,9 @@ func (s *reqScanner) next(c byte) bool {
 	return false
 }
 
-// str returns the bytes of an escape-free, valid UTF-8 string in place.
+// str returns a string's bytes in place, up to the next quote. Only names
+// are checked further: a key with an escape, a control byte or invalid
+// UTF-8 matches no known key anyway.
 func (s *reqScanner) str() []byte {
 	j := -1
 	if s.next('"') {
@@ -210,17 +236,22 @@ func (s *reqScanner) str() []byte {
 	}
 	v := s.b[s.i : s.i+j]
 	s.i += j + 1
-	s.bad = s.bad || bytes.IndexByte(v, '\\') >= 0 || !utf8.Valid(v)
 	return v
 }
 
 // name reads a string value, sharing one string per distinct name among
 // the first 1024, so a body of distinct names cannot grow the table further.
+// A name is checked for escapes, control bytes and invalid UTF-8 when it
+// misses the table: a hit equals a name already checked.
 func (s *reqScanner) name() string {
 	v := s.str()
 	if name, ok := s.names[string(v)]; ok {
 		return name
 	}
+	for _, c := range v {
+		s.bad = s.bad || c < 0x20 || c == '\\'
+	}
+	s.bad = s.bad || !utf8.Valid(v)
 	name := string(v)
 	if len(s.names) < 1024 {
 		s.names[name] = name
@@ -228,15 +259,31 @@ func (s *reqScanner) name() string {
 	return name
 }
 
-// num reads a number literal, the input being valid JSON.
+// num reads a number literal in JSON's grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?; anything else is bad.
 func (s *reqScanner) num() []byte {
 	s.ws()
 	start := s.i
-	for s.i < len(s.b) && (s.b[s.i] == '-' || s.b[s.i] == '+' || s.b[s.i] == '.' ||
-		s.b[s.i] == 'e' || s.b[s.i] == 'E' || '0' <= s.b[s.i] && s.b[s.i] <= '9') {
+	s.skip('-')
+	ok := s.skip('0') || s.digits()
+	if ok && s.skip('.') {
+		ok = s.digits()
+	}
+	if ok && (s.skip('e') || s.skip('E')) {
+		_ = s.skip('+') || s.skip('-')
+		ok = s.digits()
+	}
+	s.bad = s.bad || !ok
+	return s.b[start:s.i]
+}
+
+// digits consumes decimal digits, reporting whether there was one.
+func (s *reqScanner) digits() bool {
+	start := s.i
+	for s.i < len(s.b) && '0' <= s.b[s.i] && s.b[s.i] <= '9' {
 		s.i++
 	}
-	return s.b[start:s.i]
+	return s.i > start
 }
 
 func (s *reqScanner) float() float64 {

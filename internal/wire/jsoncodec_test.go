@@ -10,6 +10,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"spire/internal/core"
@@ -434,16 +435,98 @@ func TestJSONCodecEdgeCases(t *testing.T) {
 // TestBufferPoolCap: a buffer over the pool cap is dropped on release,
 // not kept for reuse.
 func TestBufferPoolCap(t *testing.T) {
-	big := getBuffer()
+	big := GetBuffer()
 	big.Grow(maxPooledBuffer + 1)
-	putBuffer(big)
-	if b := getBuffer(); b == big || b.Cap() > maxPooledBuffer {
+	PutBuffer(big)
+	if b := GetBuffer(); b == big || b.Cap() > maxPooledBuffer {
 		t.Fatalf("the pool handed back a %d-byte buffer, over its %d-byte cap", b.Cap(), maxPooledBuffer)
 	}
-	small := getBuffer()
+	small := GetBuffer()
 	small.Grow(4096)
-	putBuffer(small)
-	if b := getBuffer(); b.Len() != 0 {
+	PutBuffer(small)
+	if b := GetBuffer(); b.Len() != 0 {
 		t.Fatalf("a pooled buffer came back holding %d bytes", b.Len())
+	}
+}
+
+// scanAgrees checks the direct scan against encoding/json: a body
+// ScanEstimateJSON accepts is valid JSON, DecodeEstimateBody decodes it
+// to the same request, and the request shares no memory with body.
+func scanAgrees(t *testing.T, body []byte) {
+	t.Helper()
+	body = bytes.Clone(body)
+	got, ok := ScanEstimateJSON(body)
+	if !ok {
+		return
+	}
+	if !json.Valid(body) {
+		t.Fatalf("ScanEstimateJSON accepted invalid JSON %q", body)
+	}
+	want, err := DecodeEstimateBody(body, ContentTypeJSON)
+	if err != nil {
+		t.Fatalf("ScanEstimateJSON accepted %q, DecodeEstimateBody rejected it: %v", body, err)
+	}
+	for i := range body {
+		body[i] = 'X'
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ScanEstimateJSON decoded\n %+v\nDecodeEstimateBody decoded\n %+v", got, want)
+	}
+}
+
+// scanSeeds add, to the codec seeds, one body per JSON grammar rule the
+// direct scan checks itself, each just outside the grammar, and the edge
+// cases just inside it.
+func scanSeeds() [][]byte {
+	seeds := jsonCodecSeeds()
+	for _, num := range []string{"01", "-01", "+1", "1.", ".5", "-", "1e", "1e+", "00", "-.5", "1.e5", "0x1", "-0", "1E5", "0.5e-3", "1E+05", "-0.0"} {
+		seeds = append(seeds, []byte(`{"samples":[{"metric":"m","t":`+num+`,"w":2,"m":3}]}`))
+	}
+	for _, metric := range []string{"a\x01b", "a\tb", "\x1f", "a\x7fb"} {
+		seeds = append(seeds, []byte(`{"samples":[{"metric":"m","t":1,"w":2,"m":3},{"metric":"`+metric+`","t":1,"w":2,"m":3}]}`))
+	}
+	return append(seeds,
+		[]byte(`{"samples":[{"metric":"m","t":1,"w":2,"m":3,"window":1.0}]}`),
+		[]byte(`{"top":01}`),
+		[]byte("{\"sched\":[{\"time\":1,\"class\":\"c\\u0001\",\"obj\":\"\x01\"}]}"),
+	)
+}
+
+// FuzzScanEstimateJSON holds the direct scan to encoding/json: whatever it
+// accepts must be valid JSON that DecodeEstimateBody decodes to the same
+// request (scanAgrees). The seeds include each number and string rule the
+// scan checks in place of encoding/json's validity scan.
+func FuzzScanEstimateJSON(f *testing.F) {
+	for _, body := range scanSeeds() {
+		f.Add(body)
+	}
+	f.Fuzz(scanAgrees)
+}
+
+// TestScanEstimateJSONGrammar pins which side of the grammar each seed
+// number and control-byte metric falls on.
+func TestScanEstimateJSONGrammar(t *testing.T) {
+	body := func(num, metric string) []byte {
+		return []byte(`{"samples":[{"metric":"` + metric + `","t":` + num + `,"w":2,"m":3}]}`)
+	}
+	for num, want := range map[string]bool{
+		"01": false, "-01": false, "+1": false, "1.": false, ".5": false, "-": false,
+		"1e": false, "1e+": false, "00": false, "-.5": false, "1.e5": false,
+		"-0": true, "1E5": true, "0.5e-3": true, "1E+05": true, "-0.0": true, "50000": true,
+	} {
+		if _, ok := ScanEstimateJSON(body(num, "m")); ok != want {
+			t.Errorf("number %q: scan accepted %v, want %v", num, ok, want)
+		}
+	}
+	for metric, want := range map[string]bool{"a\x01b": false, "a\tb": false, "\x1f": false, "a\x7fb": true, "é": true} {
+		if _, ok := ScanEstimateJSON(body("1", metric)); ok != want {
+			t.Errorf("metric %q: scan accepted %v, want %v", metric, ok, want)
+		}
+	}
+	if _, ok := ScanEstimateJSON([]byte(`{"samples":[{"metric":"m","t":1,"w":2,"m":3,"window":1.0}]}`)); ok {
+		t.Error(`scan accepted "window":1.0`)
+	}
+	if _, ok := ScanEstimateJSON([]byte(`{"samples":[{"metric":"` + strings.Repeat("m", math.MaxUint16+1) + `","t":1,"w":2,"m":3}]}`)); ok {
+		t.Error("scan accepted a metric over the SPB1 string limit")
 	}
 }

@@ -1,14 +1,16 @@
 // Package wire owns the /v1/estimate schema in both of its encodings —
 // JSON and SPB1 — and the HTTP format negotiation between them. Serve
 // and the `spire route` router read request bodies with ReadBody (serve
-// through ReadEstimateRequest) and decode them with DecodeEstimateBody;
-// serve encodes responses with EncodeEstimateResponse. A field or a
-// strictness rule is defined here once.
+// through ReadEstimateRequest) and decode them with DecodeEstimateBody,
+// the router trying ScanEstimateJSON first; serve encodes responses with
+// EncodeEstimateResponse. A field or a strictness rule is defined here
+// once.
 //
 // The JSON codec sits behind the encoding/json interfaces, so every caller
 // of encoding/json runs it: EstimateRequest.UnmarshalJSON (json.go) scans
-// the canonical request by hand, core.Estimation.MarshalJSON is one append
-// encoder. Bodies are read and responses built in pooled buffers.
+// the canonical request by hand with ScanEstimateJSON's scanner,
+// core.Estimation.MarshalJSON is one append encoder. Bodies are read and
+// responses built in pooled buffers (GetBuffer).
 //
 // SPB1 is spire's compact length-prefixed binary format for the
 // estimation API and the stream feed. It exists for the hot serving
@@ -97,8 +99,8 @@ func ResponseType(accept string) string {
 // from Content-Length: pooled buffers keep their capacity from request to
 // request.
 func ReadEstimateRequest(body io.Reader, contentType string) (*EstimateRequest, error) {
-	buf := getBuffer()
-	defer putBuffer(buf)
+	buf := GetBuffer()
+	defer PutBuffer(buf)
 	if _, err := ReadBody(buf, body, -1); err != nil {
 		return nil, err
 	}
@@ -181,8 +183,8 @@ func CheckEstimateRequest(req *EstimateRequest) error {
 // buffer and returned as an exact-size copy the caller may keep.
 func EncodeEstimateResponse(res *EstimateResponse, accept string) ([]byte, string, error) {
 	ct := ResponseType(accept)
-	buf := getBuffer()
-	defer putBuffer(buf)
+	buf := GetBuffer()
+	defer PutBuffer(buf)
 	if ct == ContentTypeBin {
 		buf.Write(AppendEstimateResponse(buf.AvailableBuffer(), res))
 	} else if err := json.NewEncoder(buf).Encode(res); err != nil {
@@ -297,26 +299,40 @@ func appendF64(dst []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 }
 
-// appendSamples writes the metric dictionary (first-appearance order)
-// followed by the sample rows. Dictionary indices are uint32, so any
-// sample count a frame can physically hold is representable — there is
-// no silent-truncation edge.
-func appendSamples(dst []byte, samples []core.Sample) []byte {
-	idx := make(map[string]uint32, 16)
-	var dict []string
+// metricDict is a sample list's metric dictionary, in first-appearance
+// order. Dictionary indices are uint32, so any sample count a frame can
+// physically hold is representable — there is no silent-truncation edge.
+type metricDict struct {
+	idx   map[string]uint32
+	names []string
+}
+
+func newMetricDict(samples []core.Sample) metricDict {
+	d := metricDict{idx: make(map[string]uint32, 16)}
 	for _, s := range samples {
-		if _, ok := idx[s.Metric]; !ok {
-			idx[s.Metric] = uint32(len(dict))
-			dict = append(dict, s.Metric)
+		if _, ok := d.idx[s.Metric]; !ok {
+			d.idx[s.Metric] = uint32(len(d.names))
+			d.names = append(d.names, s.Metric)
 		}
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(dict)))
-	for _, m := range dict {
+	return d
+}
+
+// appendSamples writes samples' metric dictionary followed by the sample
+// rows.
+func appendSamples(dst []byte, samples []core.Sample) []byte {
+	return newMetricDict(samples).encode(dst, samples)
+}
+
+// encode writes the dictionary followed by the sample rows.
+func (d metricDict) encode(dst []byte, samples []core.Sample) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(d.names)))
+	for _, m := range d.names {
 		dst = appendString(dst, m)
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(samples)))
 	for _, s := range samples {
-		dst = binary.LittleEndian.AppendUint32(dst, idx[s.Metric])
+		dst = binary.LittleEndian.AppendUint32(dst, d.idx[s.Metric])
 		dst = appendF64(dst, s.T)
 		dst = appendF64(dst, s.W)
 		dst = appendF64(dst, s.M)
@@ -377,12 +393,39 @@ const (
 )
 
 // AppendEstimateRequest appends req as one SPB1 frame and returns the
-// extended slice.
+// extended slice, growing dst at most once.
 func AppendEstimateRequest(dst []byte, req *EstimateRequest) []byte {
+	return appendEstimateRequest(dst, req, math.MaxInt)
+}
+
+// EncodeEstimateRequest returns req as one SPB1 frame in one allocation of
+// its size, or nil when the frame would be longer than limit bytes.
+func EncodeEstimateRequest(req *EstimateRequest, limit int) []byte {
+	return appendEstimateRequest(nil, req, limit)
+}
+
+func appendEstimateRequest(dst []byte, req *EstimateRequest, limit int) []byte {
+	d := newMetricDict(req.Samples)
+	n := HeaderSize + 16 + 8 + len(req.Samples)*sampleRowSize
+	for _, m := range d.names {
+		n += 2 + min(len(m), math.MaxUint16)
+	}
+	if len(req.Sched) > 0 {
+		n += 1 + 4 + len(req.Sched)*schedEventMinSize
+		for _, ev := range req.Sched {
+			n += min(len(ev.Class), math.MaxUint16) + min(len(ev.Obj), math.MaxUint16)
+		}
+	}
+	if n > limit {
+		return nil
+	}
+	if cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
 	dst, start := appendHeader(dst, MsgEstimateRequest)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(req.Top)))
 	dst = binary.LittleEndian.AppendUint64(dst, 0) // reserved slot
-	dst = appendSamples(dst, req.Samples)
+	dst = d.encode(dst, req.Samples)
 	// Sched section: optional and strictly trailing, so requests without
 	// scheduler events stay byte-identical to the pre-sched encoding.
 	if len(req.Sched) > 0 {
