@@ -2,12 +2,13 @@ package spire_test
 
 // Served-request codec benchmarks and their allocation gate (`make
 // bench-gate` via the TestBenchGate prefix): the JSON request decode and
-// response encode of one /v1/estimate exchange, and the workload content
-// key, on a request shaped like the serving benchmark's serve-hot
-// traffic — 347 samples over the 68 modelled PMU events, integer-valued
-// counters — and the router's step from body to placement key and
-// upstream frame on a route-cold-shaped request. BENCH_wire.json records
-// them; allocs/op is gated exactly, ns/op is recorded for context only.
+// response encode of one /v1/estimate exchange, the request scanner
+// alone, and the workload content key, on a request shaped like the
+// serving benchmark's serve-hot traffic — 347 samples over the 68
+// modelled PMU events, integer-valued counters — and the router's step
+// from body to placement key and upstream frame on a route-cold-shaped
+// request. BENCH_wire.json records them; allocs/op is gated exactly,
+// ns/op is recorded for context only.
 
 import (
 	"bytes"
@@ -75,6 +76,25 @@ func BenchmarkWireJSONDecode(b *testing.B) {
 		rd.Reset(body)
 		if _, err := wire.ReadEstimateRequest(rd, wire.ContentTypeJSON); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkScanEstimateJSON times the request scanner alone, as the router
+// runs it, on BenchmarkWireJSONDecode's body: no body read and none of
+// encoding/json's validity scan and value skip, which the shard's decode
+// pays around the same scanner.
+func BenchmarkScanEstimateJSON(b *testing.B) {
+	body, err := json.Marshal(wireBenchRequest())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := wire.ScanEstimateJSON(body); !ok {
+			b.Fatal("the scan refused the benchmark body")
 		}
 	}
 }
@@ -169,6 +189,7 @@ func TestBenchGateWire(t *testing.T) {
 	}
 	for name, bench := range map[string]func(*testing.B){
 		"BenchmarkWireJSONDecode":         BenchmarkWireJSONDecode,
+		"BenchmarkScanEstimateJSON":       BenchmarkScanEstimateJSON,
 		"BenchmarkWireJSONEncode":         BenchmarkWireJSONEncode,
 		"BenchmarkWorkloadKey":            BenchmarkWorkloadKey,
 		"BenchmarkRouteEstimateBody/json": benchRouteEstimateBody(false),

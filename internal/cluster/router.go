@@ -405,7 +405,8 @@ func bodyKey(body []byte) string {
 // an SPB1 frame unless the frame is the longer; SPB1 goes as it came. JSON
 // is read into a pooled buffer, released once a frame replaces it.
 // Undecodable or empty bodies go as they came under a content hash, so a
-// shard answers with its own error.
+// shard answers with its own error; canonical JSON with a string over
+// SPB1's limit is known undecodable from its one scan.
 func RouteEstimateBody(body io.Reader, declared int64, contentType string) (key string, upstream []byte, upstreamCT string, err error) {
 	bin := wire.IsBinMedia(contentType)
 	buf := new(bytes.Buffer) // SPB1 goes upstream from its read buffer
@@ -417,11 +418,11 @@ func RouteEstimateBody(body io.Reader, declared int64, contentType string) (key 
 		wire.PutBuffer(buf)
 		return "", nil, "", err
 	}
-	req, ok := (*wire.EstimateRequest)(nil), false
+	req, err := (*wire.EstimateRequest)(nil), wire.ErrNotCanonical
 	if !bin {
-		req, ok = wire.ScanEstimateJSON(raw)
+		req, err = wire.ScanEstimateBody(raw)
 	}
-	if !ok {
+	if errors.Is(err, wire.ErrNotCanonical) {
 		req, err = wire.DecodeEstimateBody(raw, contentType)
 	}
 	if err != nil || len(req.Samples) == 0 {

@@ -34,7 +34,8 @@ func fill(head, unit, tail string, size int) []byte {
 // A Content-Length far over the cap must not size the read buffer. The
 // bound is 4× the cap, except for a body of empty sample objects:
 // each 3-byte "{}," decodes to a 48-byte core.Sample, so the decoded
-// request alone is 16× the body, and that case is held to 20×.
+// request alone is 16× the body, and that case is held to 20×, as is the
+// invalid body of adjacent "{}" objects the router's scan also sees.
 func TestHostileBodyHeapBound(t *testing.T) {
 	const limit = 1 << 20
 	s, _ := newTestServer(t, Config{MaxBodyBytes: limit})
@@ -69,6 +70,7 @@ func TestHostileBodyHeapBound(t *testing.T) {
 			[]byte(`{"samples":` + strings.Repeat("[", limit/2-6) + strings.Repeat("]", limit/2-6) + `}`), 400, 4, 0},
 		{"lying SPB1 counts", wire.ContentTypeBin, frame, 400, 4, 0},
 		{"empty samples", "application/json", fill(`{"samples":[`, `{},`, `{}]}`, limit), 422, 20, 0},
+		{"adjacent empty samples", "application/json", fill(`{"samples":[`, `{}`, `{}]}`, limit), 400, 20, 0},
 		{"lying Content-Length", "application/json",
 			fill(`{"samples":[`, `{"metric":"m1","t":1,"w":1,"m":1},`, `{"metric":"m2","t":1,"w":1,"m":1}]}`, limit), 200, 4, 64 * limit},
 	}

@@ -10,8 +10,10 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"spire/internal/core"
 	"spire/internal/testutil"
@@ -237,12 +239,34 @@ func decodeAgrees(t *testing.T, body []byte) {
 	for i := range body {
 		body[i] = 'X'
 	}
-	if gerr == nil && !reflect.DeepEqual(got, estimateRequest(want)) {
+	if gerr == nil && !sameRequest(&got, (*estimateRequest)(&want)) {
 		t.Fatalf("UnmarshalJSON decoded\n %+v\nreflection decoded\n %+v", got, want)
 	}
-	if berr == nil && !reflect.DeepEqual(fromBody, legacy) {
+	if berr == nil && !sameRequest(fromBody, legacy) {
 		t.Fatalf("DecodeEstimateBody decoded\n %+v\nlegacy read decoded\n %+v", fromBody, legacy)
 	}
+}
+
+// sameRequest reports whether a and b are deeply equal with every float
+// compared by its bits, so -0 and +0 differ: a float's bits feed
+// engine.WorkloadKey, and so placement, and the SPB1 frame.
+func sameRequest(a, b *EstimateRequest) bool {
+	if !reflect.DeepEqual(a, b) {
+		return false
+	}
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	for i, p := range a.Samples {
+		q := b.Samples[i]
+		if !same(p.T, q.T) || !same(p.W, q.W) || !same(p.M, q.M) {
+			return false
+		}
+	}
+	for i, ev := range a.Sched {
+		if !same(ev.Time, b.Sched[i].Time) {
+			return false
+		}
+	}
+	return true
 }
 
 // jsonCodecSeeds are the canonical request body and one body per
@@ -392,10 +416,72 @@ func FuzzJSONCodecAgree(f *testing.F) {
 		f.Add([]byte(`{}`), "", "tab\t\"q\"", v, -1e-7, 123456789.125, uint16(0x5a5a>>i))
 		f.Add([]byte(`{}`), "m ", "", 1.0, 2.0, v, uint16(0xa5a5>>i))
 	}
+	f.Add([]byte(`{}`), "l1d.miss", "é ~\x7f", -1.5, 2.5e-8, math.Copysign(0, -1), uint16(0x8001))
+	f.Add([]byte(`{}`), "", "m", 9007199254740993.0, -1e22, 1e23, uint16(0x7fff))
 	f.Fuzz(func(t *testing.T, body []byte, s1, s2 string, f1, f2, f3 float64, shape uint16) {
 		decodeAgrees(t, body)
 		encodeAgrees(t, fuzzEstimation(s1, s2, f1, f2, f3, shape))
+		marshalScans(t, s1, s2, f1, f2, f3, shape)
 	})
+}
+
+// plainJSON reports whether json.Marshal writes s unescaped and SPB1
+// carries it: valid UTF-8 within the string limit, free of control bytes,
+// '"', '\\', the HTML-special '<', '>', '&', and U+2028/U+2029.
+func plainJSON(s string) bool {
+	return len(s) <= math.MaxUint16 && utf8.ValidString(s) &&
+		!strings.ContainsFunc(s, func(r rune) bool { return r < 0x20 || strings.ContainsRune("\"\\<>&\u2028\u2029", r) })
+}
+
+// marshalScans holds the direct scan to the shape it is for: json.Marshal
+// of a request built from fuzz inputs — every field set, fractional,
+// exponent and negative floats, scheduler events — is taken by
+// ScanEstimateJSON and decoded to the request itself, bit for bit,
+// whenever the floats are finite and the strings plain (plainJSON), into
+// slices of exactly their length. A wrong refusal would still decode,
+// through reflection, and a wrong count only wastes memory, so no result
+// shows either; only this check does.
+func marshalScans(t *testing.T, s1, s2 string, f1, f2, f3 float64, shape uint16) {
+	t.Helper()
+	req := &EstimateRequest{
+		Samples: []core.Sample{
+			{Metric: s1, T: f1, W: f2, M: f3, Window: int(int16(shape))},
+			{Metric: s2, T: f3, W: f1, M: -f2},
+			{Metric: s1, T: -f3, W: f1 / 7, M: f2 * 3, Window: -1},
+		},
+		Top: int(shape >> 12),
+		Sched: []core.SchedEvent{
+			{Time: f2, Class: s1, Thread: int(shape), Hart: int(int8(shape)), Obj: s2, Waker: -1, Window: math.MaxInt},
+			{Time: -f1, Class: s2},
+		},
+	}
+	body, err := json.Marshal(req)
+	if err != nil || !plainJSON(s1) || !plainJSON(s2) {
+		return
+	}
+	got, ok := ScanEstimateJSON(body)
+	if !ok {
+		t.Fatalf("ScanEstimateJSON refused json.Marshal's %q", body)
+	}
+	if !sameRequest(got, req) {
+		t.Fatalf("ScanEstimateJSON decoded %q to\n %+v\nnot\n %+v", body, got, req)
+	}
+	if cap(got.Samples) != len(got.Samples) || cap(got.Sched) != len(got.Sched) {
+		t.Fatalf("ScanEstimateJSON sized the slices of %q at %d and %d for %d samples and %d events",
+			body, cap(got.Samples), cap(got.Sched), len(got.Samples), len(got.Sched))
+	}
+}
+
+// TestScanTakesMarshalOutput runs marshalScans over fixed names, some
+// with the bytes the slice count looks at, and over floats on both sides
+// of the scan's integer fast path.
+func TestScanTakesMarshalOutput(t *testing.T) {
+	for _, name := range []string{"l1d.miss", "", "é ~\x7f", "a b", "}],{[", "y_Y:,"} {
+		for _, v := range []float64{0, math.Copysign(0, -1), 1, -1, 0.5, -2.5e-3, 1.5e-9, 1e20, 1e21, 1e22, 1e23, -1e300,
+			5e-324, math.MaxFloat64, 999999999999999, 1 << 53, 9007199254740993, 12345678901234567, 123456789.125} {
+			marshalScans(t, name, "m", v, -v, v/3, 0xa5a5)
+		}
+	}
 }
 
 // TestJSONCodecEdgeCases runs the fuzz target's encode check over fixed
@@ -427,7 +513,7 @@ func TestJSONCodecEdgeCases(t *testing.T) {
 	if err := json.Unmarshal(body, &want); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, estimateRequest(want)) {
+	if !sameRequest(&got, (*estimateRequest)(&want)) {
 		t.Fatalf("decoding into a filled request gave %+v, reflection %+v", got, want)
 	}
 }
@@ -450,37 +536,64 @@ func TestBufferPoolCap(t *testing.T) {
 }
 
 // scanAgrees checks the direct scan against encoding/json: a body
-// ScanEstimateJSON accepts is valid JSON, DecodeEstimateBody decodes it
-// to the same request, and the request shares no memory with body.
+// ScanEstimateBody decodes is valid JSON, DecodeEstimateBody decodes it to
+// the same request, bit for bit, and the request shares no memory with
+// body; a body it refuses as over SPB1's string limit, not as outside the
+// canonical shape, DecodeEstimateBody refuses too.
 func scanAgrees(t *testing.T, body []byte) {
 	t.Helper()
 	body = bytes.Clone(body)
-	got, ok := ScanEstimateJSON(body)
-	if !ok {
+	got, err := ScanEstimateBody(body)
+	if err == ErrNotCanonical {
 		return
 	}
 	if !json.Valid(body) {
-		t.Fatalf("ScanEstimateJSON accepted invalid JSON %q", body)
+		t.Fatalf("ScanEstimateBody took invalid JSON %q", body)
 	}
-	want, err := DecodeEstimateBody(body, ContentTypeJSON)
+	want, werr := DecodeEstimateBody(body, ContentTypeJSON)
 	if err != nil {
-		t.Fatalf("ScanEstimateJSON accepted %q, DecodeEstimateBody rejected it: %v", body, err)
+		if werr == nil {
+			t.Fatalf("ScanEstimateBody refused %q (%v), DecodeEstimateBody decoded it", body, err)
+		}
+		return
+	}
+	if werr != nil {
+		t.Fatalf("ScanEstimateBody accepted %q, DecodeEstimateBody rejected it: %v", body, werr)
 	}
 	for i := range body {
 		body[i] = 'X'
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("ScanEstimateJSON decoded\n %+v\nDecodeEstimateBody decoded\n %+v", got, want)
+	if !sameRequest(got, want) {
+		t.Fatalf("ScanEstimateBody decoded\n %+v\nDecodeEstimateBody decoded\n %+v", got, want)
 	}
 }
 
+// numberLiterals are literals in JSON's number grammar around the scan's
+// integer fast paths (15 digits for a float, 18 for an int), float64's
+// exact-integer edge 2^53, the int64 range, exponents and zeros.
+var numberLiterals = []string{
+	"0", "-0", "-0.0", "0.0", "1", "-1", "7",
+	"123456789012345", "-999999999999999", "1234567890123456", "-9999999999999999",
+	"9007199254740992", "9007199254740993", "12345678901234567", "99999999999999999",
+	"999999999999999999", "-999999999999999999", "1000000000000000000",
+	"9223372036854775807", "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+	"18446744073709551616", "123456789012345678901234567890",
+	"1e22", "1e23", "1E+22", "1.5", "-2.5e-3", "5e-324", "1.7976931348623157e308", "1e309", "-1e-400",
+}
+
 // scanSeeds add, to the codec seeds, one body per JSON grammar rule the
-// direct scan checks itself, each just outside the grammar, and the edge
-// cases just inside it.
+// direct scan checks itself, each just outside the grammar, the edge
+// cases just inside it, numberLiterals as floats and as ints, and
+// adjacent objects, which the slice sizing must not trust.
 func scanSeeds() [][]byte {
 	seeds := jsonCodecSeeds()
 	for _, num := range []string{"01", "-01", "+1", "1.", ".5", "-", "1e", "1e+", "00", "-.5", "1.e5", "0x1", "-0", "1E5", "0.5e-3", "1E+05", "-0.0"} {
 		seeds = append(seeds, []byte(`{"samples":[{"metric":"m","t":`+num+`,"w":2,"m":3}]}`))
+	}
+	for _, num := range numberLiterals {
+		seeds = append(seeds,
+			[]byte(`{"samples":[{"metric":"m","t":1,"w":`+num+`,"m":3,"window":`+num+`}],"top":`+num+`}`),
+			[]byte(`{"sched":[{"time":`+num+`,"class":"c","hart":`+num+`}]}`))
 	}
 	for _, metric := range []string{"a\x01b", "a\tb", "\x1f", "a\x7fb"} {
 		seeds = append(seeds, []byte(`{"samples":[{"metric":"m","t":1,"w":2,"m":3},{"metric":"`+metric+`","t":1,"w":2,"m":3}]}`))
@@ -489,7 +602,62 @@ func scanSeeds() [][]byte {
 		[]byte(`{"samples":[{"metric":"m","t":1,"w":2,"m":3,"window":1.0}]}`),
 		[]byte(`{"top":01}`),
 		[]byte("{\"sched\":[{\"time\":1,\"class\":\"c\\u0001\",\"obj\":\"\x01\"}]}"),
+		[]byte(`{"samples":[{}{}{}]}`),
 	)
+}
+
+// TestScanNumbersMatchStrconv holds the scan's number reading to strconv:
+// each of numberLiterals, as a float, is ParseFloat's result bit for bit
+// (so -0 is not 0) and, as an int, ParseInt's; a literal strconv refuses
+// (out of range, or fractional for an int) the scan refuses.
+func TestScanNumbersMatchStrconv(t *testing.T) {
+	for _, lit := range numberLiterals {
+		want, ferr := strconv.ParseFloat(lit, 64)
+		req, ok := ScanEstimateJSON([]byte(`{"samples":[{"metric":"m","t":` + lit + `,"w":2,"m":3}]}`))
+		if ok != (ferr == nil) || ok && math.Float64bits(req.Samples[0].T) != math.Float64bits(want) {
+			t.Errorf("float %s: scan accepted %v (%+v), strconv gave %v, %v", lit, ok, req, want, ferr)
+		}
+		n, ierr := strconv.ParseInt(lit, 10, strconv.IntSize)
+		req, ok = ScanEstimateJSON([]byte(`{"samples":[{"metric":"m","t":1,"w":2,"m":3,"window":` + lit + `}]}`))
+		if ok != (ierr == nil) || ok && req.Samples[0].Window != int(n) {
+			t.Errorf("int %s: scan accepted %v (%+v), strconv gave %d, %v", lit, ok, req, n, ierr)
+		}
+	}
+}
+
+// TestScanEstimateBodyStringLimit: a canonical body with a metric, class
+// or obj over SPB1's string limit is refused as over the limit — the
+// router then routes it as it came, without decoding it again — and
+// DecodeEstimateBody refuses it too. A string at the limit is decoded. A
+// body outside the canonical shape is left to DecodeEstimateBody, even
+// with a long string: a later duplicate key may replace it.
+func TestScanEstimateBodyStringLimit(t *testing.T) {
+	atLimit := strings.Repeat("m", math.MaxUint16)
+	long := atLimit + "m"
+	for _, tc := range []struct {
+		body string
+		over bool  // refused as over the limit
+		want error // otherwise
+	}{
+		{body: `{"samples":[{"metric":"` + atLimit + `","t":1,"w":2,"m":3}]}`},
+		{body: `{"samples":[{"metric":"` + long + `","t":1,"w":2,"m":3}]}`, over: true},
+		{body: `{"sched":[{"time":1,"class":"` + long + `"}],"top":1}`, over: true},
+		{body: `{"sched":[{"time":1,"class":"c","obj":"` + long + `"}]}`, over: true},
+		{body: `{"samples":[{"metric":"` + long + `","metric":"m","t":1}]}`, want: ErrNotCanonical},
+		{body: `{"samples":[{"metric":"` + long + `","t":1,"x":2}]}`, want: ErrNotCanonical},
+		{body: `{"samples":[{"metric":"` + long + "\x01" + `","t":1}]}`, want: ErrNotCanonical},
+	} {
+		req, err := ScanEstimateBody([]byte(tc.body))
+		_, derr := DecodeEstimateBody([]byte(tc.body), ContentTypeJSON)
+		switch {
+		case tc.over && (err == nil || err == ErrNotCanonical || derr == nil):
+			t.Errorf("%.40s…: scan %v, DecodeEstimateBody %v; want both to refuse it as over the limit", tc.body, err, derr)
+		case !tc.over && err != tc.want:
+			t.Errorf("%.40s…: scan %v, want %v", tc.body, err, tc.want)
+		case !tc.over && err == nil && req.Samples[0].Metric != atLimit:
+			t.Errorf("%.40s…: scan decoded a %d-byte metric, want %d bytes", tc.body, len(req.Samples[0].Metric), len(atLimit))
+		}
+	}
 }
 
 // FuzzScanEstimateJSON holds the direct scan to encoding/json: whatever it

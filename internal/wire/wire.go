@@ -2,13 +2,13 @@
 // JSON and SPB1 — and the HTTP format negotiation between them. Serve
 // and the `spire route` router read request bodies with ReadBody (serve
 // through ReadEstimateRequest) and decode them with DecodeEstimateBody,
-// the router trying ScanEstimateJSON first; serve encodes responses with
+// the router trying ScanEstimateBody first; serve encodes responses with
 // EncodeEstimateResponse. A field or a strictness rule is defined here
 // once.
 //
 // The JSON codec sits behind the encoding/json interfaces, so every caller
 // of encoding/json runs it: EstimateRequest.UnmarshalJSON (json.go) scans
-// the canonical request by hand with ScanEstimateJSON's scanner,
+// the canonical request by hand with ScanEstimateBody's scanner,
 // core.Estimation.MarshalJSON is one append encoder. Bodies are read and
 // responses built in pooled buffers (GetBuffer).
 //
