@@ -134,7 +134,8 @@ chaos-cluster:
 # recording in BENCH_core_columnar.json — fails on >20% ns/op
 # regression or any allocation per op — and the served-request codec
 # benchmarks (JSON decode, JSON encode, workload key) against
-# BENCH_wire.json, whose allocs/op must match exactly.
+# BENCH_wire.json and the workload index builds against BENCH_index.json,
+# whose allocs/op must match exactly.
 bench-gate:
 	BENCH_GATE=1 $(GO) test -run TestBenchGate -count=1 -timeout 600s .
 

@@ -122,10 +122,10 @@ func BenchmarkWorkloadKey(b *testing.B) {
 	}
 }
 
-// routeBenchBody is a route-cold-shaped request in JSON or SPB1: 2,000
-// samples over the 68 modelled PMU events, integer-valued counters and
-// 8-digit window numbers.
-func routeBenchBody(bin bool) ([]byte, string) {
+// routeBenchRequest is a route-cold-shaped request: 2,000 samples over
+// the 68 modelled PMU events, integer-valued counters and 8-digit window
+// numbers.
+func routeBenchRequest() *wire.EstimateRequest {
 	events := pmu.MetricEvents()
 	rng := rand.New(rand.NewSource(3))
 	req := &wire.EstimateRequest{}
@@ -139,6 +139,12 @@ func routeBenchBody(bin bool) ([]byte, string) {
 			Window: 10_000_000 + i/len(events),
 		})
 	}
+	return req
+}
+
+// routeBenchBody is routeBenchRequest in JSON or SPB1.
+func routeBenchBody(bin bool) ([]byte, string) {
+	req := routeBenchRequest()
 	if bin {
 		return wire.AppendEstimateRequest(nil, req), wire.ContentTypeBin
 	}

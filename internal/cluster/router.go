@@ -409,8 +409,10 @@ func bodyKey(body []byte) string {
 // SPB1's limit is known undecodable from its one scan.
 func RouteEstimateBody(body io.Reader, declared int64, contentType string) (key string, upstream []byte, upstreamCT string, err error) {
 	bin := wire.IsBinMedia(contentType)
-	buf := new(bytes.Buffer) // SPB1 goes upstream from its read buffer
-	if !bin {
+	var buf *bytes.Buffer
+	if bin {
+		buf = new(bytes.Buffer) // SPB1 goes upstream from its read buffer
+	} else {
 		buf = wire.GetBuffer()
 	}
 	raw, err := wire.ReadBody(buf, body, declared)

@@ -40,8 +40,12 @@ type indexedMetric struct {
 // columnar storage and precomputes each sample's operational intensity
 // plus the measured-throughput dedup tables. Invalid samples are dropped
 // exactly as Dataset.ByMetric drops them; per-metric order is dataset
-// order. It is one IncrementalIndex pass, so batch indexes and streaming
-// snapshots share a single builder.
+// order. It is one IncrementalIndex Add plus a Snapshot, so batch indexes
+// and streaming snapshots share a single builder: every metric's columns
+// come at their exact size from one slab per column type, and periods
+// are numbered by window, so a request whose intervals share T and W, as
+// perf stat's do, costs a few allocations per metric rather than per
+// sample.
 func IndexWorkload(d Dataset) *WorkloadIndex {
 	ix := NewIncrementalIndex()
 	ix.Add(d.Samples...)

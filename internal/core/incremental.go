@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // IncrementalIndex grows a workload index sample by sample, so a
 // streaming consumer can extend its window without re-grouping or
@@ -10,21 +13,70 @@ import "sort"
 // window's snapshot and a batch index over the same samples in the same
 // order are the same index.
 //
+// Both builder steps lean on the shape of a perf-stat feed. Add makes
+// two passes: the first resolves and counts each sample's metric group,
+// the second fills the columns, so a group new to the index gets its
+// columns cut at their exact size from one slab per column type. Each
+// group remembers the group of the sample that followed it last, and
+// the lookup tries that guess before the groups map: intervals list
+// their events in the same order, and names interned by the decoders
+// compare by pointer. Snapshot numbers periods by window, because every
+// event of one interval shares its T and W; only a period that differs
+// from the first one of its window goes through a (T, W, window) map.
+//
 // Add, EvictBefore and Snapshot all write the index (Snapshot sorts the
 // metric list and renumbers periods), so callers serialize them. The
 // snapshots it hands out stay safe to read while the index keeps
-// growing: appends only ever write beyond every published snapshot's
-// visible range, and evictions only move slice headers forward.
+// growing: every column's capacity ends at its last sample when
+// published, appends beyond a full column reallocate it, and evictions
+// only move slice headers forward.
 type IncrementalIndex struct {
 	metrics []string // metric names with >= 1 live sample; Snapshot sorts them
-	groups  map[string]*indexedMetric
-	n       int                   // live samples across all groups
-	ids     map[measureKey]uint32 // Snapshot's period numbering, cleared per snapshot
+	groups  map[string]*metricGroup
+	n       int          // live samples across all groups
+	last    *metricGroup // group of the last sample added; nil after an eviction deletes a group
+
+	// Scratch reused across calls.
+	batch []*metricGroup        // Add: each sample's group, nil when invalid
+	fresh []*metricGroup        // Add: groups created by this Add
+	first map[int]uint32        // Snapshot: window -> ID of its first period
+	ids   map[measureKey]uint32 // Snapshot: periods that differ from their window's first
+}
+
+// metricGroup is one metric's live columns plus Add's bookkeeping. Its
+// contribID column stays unused: Snapshot numbers periods afresh.
+type metricGroup struct {
+	indexedMetric
+	name    string
+	next    *metricGroup // group of the sample that followed this group's last sample
+	pending int          // samples of the Add in progress
 }
 
 // NewIncrementalIndex returns an empty index.
 func NewIncrementalIndex() *IncrementalIndex {
-	return &IncrementalIndex{groups: make(map[string]*indexedMetric)}
+	return &IncrementalIndex{groups: make(map[string]*metricGroup), first: make(map[int]uint32)}
+}
+
+// group returns the group of a sample of metric name that follows a
+// sample of prev's group (prev nil when there is none), creating it if
+// the index has none, and records it as prev's next guess.
+func (ix *IncrementalIndex) group(prev *metricGroup, name string) *metricGroup {
+	if prev != nil && prev.next != nil && prev.next.name == name {
+		return prev.next
+	}
+	g, ok := ix.groups[name]
+	if !ok {
+		g = &metricGroup{name: name}
+		ix.groups[name] = g
+		ix.fresh = append(ix.fresh, g)
+		// Sorted once per Snapshot: sorted insertion here would make
+		// indexing M distinct metrics O(M²).
+		ix.metrics = append(ix.metrics, name)
+	}
+	if prev != nil {
+		prev.next = g
+	}
+	return g
 }
 
 // Add appends samples to their metric groups' columns, dropping invalid
@@ -33,26 +85,65 @@ func NewIncrementalIndex() *IncrementalIndex {
 // path would see them (the dataset order); the streaming pipeline feeds
 // intervals in window order, which satisfies this by construction.
 func (ix *IncrementalIndex) Add(samples ...Sample) int {
+	// Pass 1: resolve and count each valid sample's group.
+	ix.batch = slices.Grow(ix.batch[:0], len(samples))[:len(samples)]
 	added := 0
-	for _, s := range samples {
+	prev := ix.last
+	for i := range samples {
+		s := &samples[i]
 		if !s.Valid() {
+			ix.batch[i] = nil
 			continue
 		}
-		g, ok := ix.groups[s.Metric]
-		if !ok {
-			g = &indexedMetric{}
-			ix.groups[s.Metric] = g
-			// Sorted once per Snapshot: sorted insertion here would
-			// make indexing M distinct metrics O(M²).
-			ix.metrics = append(ix.metrics, s.Metric)
+		g := ix.group(prev, s.Metric)
+		g.pending++
+		ix.batch[i] = g
+		prev = g
+		added++
+	}
+	ix.last = prev
+
+	// Fresh groups take exact-size columns from one slab per column type.
+	// The full-slice cuts leave no capacity past each group's own samples,
+	// so a later Add reallocates rather than writing into a neighbour.
+	fresh := 0
+	for _, g := range ix.fresh {
+		fresh += g.pending
+	}
+	fs := make([]float64, 3*fresh)
+	ws := make([]int, fresh)
+	for _, g := range ix.fresh {
+		c := g.pending
+		g.t, fs = fs[:0:c], fs[c:]
+		g.w, fs = fs[:0:c], fs[c:]
+		g.intens, fs = fs[:0:c], fs[c:]
+		g.window, ws = ws[:0:c], ws[c:]
+		g.pending = 0
+	}
+
+	// Pass 2: fill. Groups that already held samples grow once per Add.
+	for i := range samples {
+		g := ix.batch[i]
+		if g == nil {
+			continue
 		}
+		if g.pending > 0 {
+			g.t = slices.Grow(g.t, g.pending)
+			g.w = slices.Grow(g.w, g.pending)
+			g.intens = slices.Grow(g.intens, g.pending)
+			g.window = slices.Grow(g.window, g.pending)
+			g.pending = 0
+		}
+		s := &samples[i]
 		g.t = append(g.t, s.T)
 		g.w = append(g.w, s.W)
 		g.intens = append(g.intens, s.Intensity())
 		g.window = append(g.window, s.Window)
-		ix.n++
-		added++
 	}
+	clear(ix.batch)
+	clear(ix.fresh)
+	ix.fresh = ix.fresh[:0]
+	ix.n += added
 	return added
 }
 
@@ -64,7 +155,7 @@ func (ix *IncrementalIndex) Add(samples ...Sample) int {
 // surviving samples. Eviction never writes to the evicted region, so
 // previously taken snapshots stay valid.
 func (ix *IncrementalIndex) EvictBefore(window int) int {
-	evicted := 0
+	evicted, deleted := 0, false
 	for metric, g := range ix.groups {
 		k := sort.Search(len(g.window), func(i int) bool {
 			return g.window[i] >= window
@@ -80,15 +171,21 @@ func (ix *IncrementalIndex) EvictBefore(window int) int {
 		ix.n -= k
 		if len(g.window) == 0 {
 			delete(ix.groups, metric)
+			deleted = true
 		}
 	}
-	if evicted > 0 && len(ix.groups) < len(ix.metrics) {
+	if deleted {
+		// A guess must never name a deleted group: a returning metric
+		// gets a new one.
+		ix.last = nil
 		live := ix.metrics[:0]
 		for _, m := range ix.metrics {
-			if _, ok := ix.groups[m]; ok {
+			if g, ok := ix.groups[m]; ok {
+				g.next = nil
 				live = append(live, m)
 			}
 		}
+		clear(ix.metrics[len(live):])
 		ix.metrics = live
 	}
 	return evicted
@@ -101,6 +198,12 @@ func (ix *IncrementalIndex) EvictBefore(window int) int {
 // write only beyond that cap, and EvictBefore only advances the live
 // slice headers. The contribution-ID tables are built fresh over the
 // live samples, so snapshots stay bounded by the window.
+//
+// Period IDs go to distinct (T, W, window) triples in order of first
+// appearance, walking metrics in name order and each metric's samples in
+// arrival order. A sample whose T and W equal (==) those of its window's
+// first period takes that period's ID without a map keyed by the whole
+// triple.
 func (ix *IncrementalIndex) Snapshot() *WorkloadIndex {
 	sort.Strings(ix.metrics)
 	out := &WorkloadIndex{
@@ -108,32 +211,47 @@ func (ix *IncrementalIndex) Snapshot() *WorkloadIndex {
 		groups:  make(map[string]*indexedMetric, len(ix.groups)),
 		n:       ix.n,
 	}
-	if ix.ids == nil {
-		ix.ids = make(map[measureKey]uint32, ix.n)
-	}
+	clear(ix.first)
 	clear(ix.ids)
-	for _, metric := range ix.metrics {
+	cols := make([]indexedMetric, len(ix.metrics))
+	idSlab := make([]uint32, ix.n)
+	for i, metric := range ix.metrics {
 		g := ix.groups[metric]
 		n := len(g.t)
-		contribID := make([]uint32, n)
+		contribID := idSlab[:n:n]
+		idSlab = idSlab[n:]
 		for j := range contribID {
-			k := measureKey{t: g.t[j], w: g.w[j], window: g.window[j]}
-			id, ok := ix.ids[k]
-			if !ok {
+			t, w, win := g.t[j], g.w[j], g.window[j]
+			id, ok := ix.first[win]
+			switch {
+			case !ok:
 				id = uint32(len(out.uniqT))
-				ix.ids[k] = id
-				out.uniqT = append(out.uniqT, k.t)
-				out.uniqW = append(out.uniqW, k.w)
+				ix.first[win] = id
+				out.uniqT = append(out.uniqT, t)
+				out.uniqW = append(out.uniqW, w)
+			case out.uniqT[id] == t && out.uniqW[id] == w:
+			default:
+				if ix.ids == nil {
+					ix.ids = make(map[measureKey]uint32, ix.n)
+				}
+				k := measureKey{t: t, w: w, window: win}
+				if id, ok = ix.ids[k]; !ok {
+					id = uint32(len(out.uniqT))
+					ix.ids[k] = id
+					out.uniqT = append(out.uniqT, t)
+					out.uniqW = append(out.uniqW, w)
+				}
 			}
 			contribID[j] = id
 		}
-		out.groups[metric] = &indexedMetric{
+		cols[i] = indexedMetric{
 			t:         g.t[:n:n],
 			w:         g.w[:n:n],
 			intens:    g.intens[:n:n],
 			window:    g.window[:n:n],
 			contribID: contribID,
 		}
+		out.groups[metric] = &cols[i]
 	}
 	return out
 }

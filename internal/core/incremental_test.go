@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -255,5 +256,179 @@ func TestIncrementalIndexOutOfOrderNames(t *testing.T) {
 	}
 	if got := inc.Metrics(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("metrics %v after snapshot, want %v", got, want)
+	}
+}
+
+// oracleIndex is the plain definition of a workload index over live:
+// Dataset.ByMetric's groups in name order, and period IDs handed out in
+// order of first appearance by a (T, W, window) map walked metric by
+// metric, each metric in arrival order.
+func oracleIndex(live []Sample) *WorkloadIndex {
+	d := Dataset{Samples: live}
+	groups := d.ByMetric()
+	out := &WorkloadIndex{groups: make(map[string]*indexedMetric)}
+	for m := range groups {
+		out.metrics = append(out.metrics, m)
+	}
+	sort.Strings(out.metrics)
+	ids := make(map[measureKey]uint32)
+	for _, m := range out.metrics {
+		g := &indexedMetric{}
+		for _, s := range groups[m] {
+			k := measureKey{t: s.T, w: s.W, window: s.Window}
+			id, ok := ids[k]
+			if !ok {
+				id = uint32(len(out.uniqT))
+				ids[k] = id
+				out.uniqT = append(out.uniqT, s.T)
+				out.uniqW = append(out.uniqW, s.W)
+			}
+			g.t = append(g.t, s.T)
+			g.w = append(g.w, s.W)
+			g.intens = append(g.intens, s.Intensity())
+			g.window = append(g.window, s.Window)
+			g.contribID = append(g.contribID, id)
+		}
+		out.groups[m] = g
+		out.n += len(g.t)
+	}
+	return out
+}
+
+// sameBits reports whether two float columns are bit-identical.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// indexesIdentical fails unless got and want hold the same metrics, the
+// same columns bit for bit, the same contribution IDs and the same ID
+// tables.
+func indexesIdentical(t *testing.T, got, want *WorkloadIndex) {
+	t.Helper()
+	if !slices.Equal(got.metrics, want.metrics) || got.n != want.n {
+		t.Fatalf("metrics %v (%d samples), want %v (%d samples)", got.metrics, got.n, want.metrics, want.n)
+	}
+	if len(got.groups) != len(want.groups) {
+		t.Fatalf("%d groups, want %d", len(got.groups), len(want.groups))
+	}
+	for _, m := range want.metrics {
+		g, w := got.groups[m], want.groups[m]
+		if g == nil {
+			t.Fatalf("metric %s: no group", m)
+		}
+		if !sameBits(g.t, w.t) || !sameBits(g.w, w.w) || !sameBits(g.intens, w.intens) ||
+			!slices.Equal(g.window, w.window) {
+			t.Fatalf("metric %s: columns\n got t=%v w=%v window=%v\nwant t=%v w=%v window=%v",
+				m, g.t, g.w, g.window, w.t, w.w, w.window)
+		}
+		if !slices.Equal(g.contribID, w.contribID) {
+			t.Fatalf("metric %s: contribID %v, want %v", m, g.contribID, w.contribID)
+		}
+	}
+	if !sameBits(got.uniqT, want.uniqT) || !sameBits(got.uniqW, want.uniqW) {
+		t.Fatalf("ID tables\n got T=%v W=%v\nwant T=%v W=%v", got.uniqT, got.uniqW, want.uniqT, want.uniqW)
+	}
+}
+
+// randInterval is one perf-stat interval at window win: a random subset
+// of names in a random order, sharing one (T, W) except for the odd
+// sample with its own, with W = 0 of either sign, the odd invalid
+// sample, and names that sometimes are fresh copies of the same bytes.
+func randInterval(rng *rand.Rand, names []string, win int) []Sample {
+	t := float64(1 + rng.Intn(4))
+	w := float64(rng.Intn(4))
+	var out []Sample
+	for _, i := range rng.Perm(len(names))[:1+rng.Intn(len(names))] {
+		s := Sample{Metric: names[i], T: t, W: w, M: float64(rng.Intn(4)), Window: win}
+		if rng.Intn(6) == 0 {
+			s.T, s.W = float64(1+rng.Intn(4)), float64(rng.Intn(4))
+		}
+		if s.W == 0 && rng.Intn(2) == 0 {
+			s.W = math.Copysign(0, -1)
+		}
+		if rng.Intn(4) == 0 {
+			s.Metric = strings.Clone(s.Metric)
+		}
+		if rng.Intn(15) == 0 {
+			s.T = -s.T
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// TestIncrementalIndexMatchesOracle drives the builder through random
+// Add/EvictBefore/Snapshot sequences and compares every snapshot, and an
+// IndexWorkload of the same live samples, with oracleIndex. Streams with
+// eviction keep each metric's windows nondecreasing, as EvictBefore
+// requires, but repeat window numbers across intervals; streams without
+// eviction also run windows backwards.
+func TestIncrementalIndexMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(74))
+	names := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
+	for it := 0; it < 300; it++ {
+		evict := rng.Intn(2) == 0
+		inc := NewIncrementalIndex()
+		var live []Sample
+		win := 10 + rng.Intn(5)
+		for step := 0; step < 12; step++ {
+			if evict {
+				win += rng.Intn(3)
+			} else {
+				win = 10 + rng.Intn(8)
+			}
+			var batch []Sample
+			for k := rng.Intn(3); k >= 0; k-- {
+				batch = append(batch, randInterval(rng, names[:1+rng.Intn(len(names))], win)...)
+			}
+			kept := inc.Add(batch...)
+			for _, s := range batch {
+				if s.Valid() {
+					live = append(live, s)
+					kept--
+				}
+			}
+			if kept != 0 {
+				t.Fatalf("it %d step %d: Add's count is off by %d", it, step, kept)
+			}
+			if evict && rng.Intn(2) == 0 {
+				cut := win - rng.Intn(3)
+				inc.EvictBefore(cut)
+				live = slices.DeleteFunc(live, func(s Sample) bool { return s.Window < cut })
+			}
+			want := oracleIndex(live)
+			indexesIdentical(t, inc.Snapshot(), want)
+			indexesIdentical(t, IndexWorkload(Dataset{Samples: live}), want)
+		}
+	}
+}
+
+// TestIncrementalIndexSlabIsolation: a snapshot whose groups were all cut
+// from one Add's slabs must stay bit-identical while later Adds grow
+// those groups and evictions move past them. A group cut with spare
+// capacity would let the next Add write into its neighbour's columns.
+func TestIncrementalIndexSlabIsolation(t *testing.T) {
+	rng := rand.New(rand.NewSource(75))
+	names := []string{"a", "b", "c", "d", "e"}
+	inc := NewIncrementalIndex()
+	var first []Sample
+	for win := 1; win <= 3; win++ {
+		for _, n := range names {
+			first = append(first, Sample{Metric: n, T: float64(win), W: float64(rng.Intn(9)), M: 1, Window: win})
+		}
+	}
+	inc.Add(first...)
+	snap := inc.Snapshot()
+	want := oracleIndex(first)
+	indexesIdentical(t, snap, want)
+	for win := 4; win <= 12; win++ {
+		var more []Sample
+		for _, n := range append(names, "f") {
+			more = append(more, Sample{Metric: n, T: 100 + float64(win), W: 1 + float64(rng.Intn(9)), M: 3, Window: win})
+		}
+		inc.Add(more...)
+		inc.EvictBefore(win - 2)
+		inc.Snapshot()
+		indexesIdentical(t, snap, want)
 	}
 }
