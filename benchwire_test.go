@@ -113,12 +113,32 @@ func BenchmarkWireJSONEncode(b *testing.B) {
 // benchKey keeps BenchmarkWorkloadKey's result live.
 var benchKey string
 
+// BenchmarkWorkloadKey hashes a workload with engine.WorkloadKey: serve
+// is BenchmarkWireJSONDecode's 347 samples, each with its own T and W;
+// route is 2,000 route-cold-shaped samples whose T and W are shared per
+// window, as the serving benchmark's jittered inputs are.
 func BenchmarkWorkloadKey(b *testing.B) {
-	samples := wireBenchRequest().Samples
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchKey = engine.WorkloadKey(samples)
+	b.Run("serve", benchWorkloadKeyServe)
+	b.Run("route", benchWorkloadKeyRoute)
+}
+
+func benchWorkloadKeyServe(b *testing.B) { benchWorkloadKey(wireBenchRequest().Samples)(b) }
+
+func benchWorkloadKeyRoute(b *testing.B) {
+	var samples []core.Sample
+	for _, iv := range indexBenchIntervals(indexBenchWindows) {
+		samples = append(samples, iv...)
+	}
+	benchWorkloadKey(samples[:2000])(b)
+}
+
+func benchWorkloadKey(samples []core.Sample) func(*testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchKey = engine.WorkloadKey(samples)
+		}
 	}
 }
 
@@ -197,7 +217,8 @@ func TestBenchGateWire(t *testing.T) {
 		"BenchmarkWireJSONDecode":         BenchmarkWireJSONDecode,
 		"BenchmarkScanEstimateJSON":       BenchmarkScanEstimateJSON,
 		"BenchmarkWireJSONEncode":         BenchmarkWireJSONEncode,
-		"BenchmarkWorkloadKey":            BenchmarkWorkloadKey,
+		"BenchmarkWorkloadKey/serve":      benchWorkloadKeyServe,
+		"BenchmarkWorkloadKey/route":      benchWorkloadKeyRoute,
 		"BenchmarkRouteEstimateBody/json": benchRouteEstimateBody(false),
 		"BenchmarkRouteEstimateBody/spb1": benchRouteEstimateBody(true),
 	} {

@@ -16,8 +16,9 @@ import (
 // its fair share times the configured load factor, spilling the key to
 // the next successor instead of hot-spotting.
 
-// fnv64a is FNV-1a, the same hash family the engine's workload key and
-// the serve-side caches use; inlined to keep the ring dependency-free.
+// fnv64a is FNV-1a over a ring key: a shard name's vnode label or a
+// request's placement key (engine.WorkloadKey, itself a SHA-256 digest);
+// inlined to keep the ring dependency-free.
 func fnv64a(s string) uint64 {
 	const (
 		offset64 = 14695981039346656037

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"sort"
 )
@@ -37,11 +38,15 @@ type IncrementalIndex struct {
 	last    *metricGroup // group of the last sample added; nil after an eviction deletes a group
 
 	// Scratch reused across calls.
-	batch []*metricGroup        // Add: each sample's group, nil when invalid
-	fresh []*metricGroup        // Add: groups created by this Add
-	first map[int]uint32        // Snapshot: window -> ID of its first period
-	ids   map[measureKey]uint32 // Snapshot: periods that differ from their window's first
+	batch      []*metricGroup        // Add: each sample's group, nil when invalid
+	fresh      []*metricGroup        // Add: groups created by this Add
+	firstDense []uint32              // Snapshot: window-lo -> ID of its first period, dense windows
+	first      map[int]uint32        // Snapshot: window -> ID of its first period, sparse windows
+	ids        map[measureKey]uint32 // Snapshot: periods that differ from their window's first
 }
+
+// noPeriod marks a window with no period yet in Snapshot's dense table.
+const noPeriod = ^uint32(0)
 
 // metricGroup is one metric's live columns plus Add's bookkeeping. Its
 // contribID column stays unused: Snapshot numbers periods afresh.
@@ -54,7 +59,7 @@ type metricGroup struct {
 
 // NewIncrementalIndex returns an empty index.
 func NewIncrementalIndex() *IncrementalIndex {
-	return &IncrementalIndex{groups: make(map[string]*metricGroup), first: make(map[int]uint32)}
+	return &IncrementalIndex{groups: make(map[string]*metricGroup)}
 }
 
 // group returns the group of a sample of metric name that follows a
@@ -203,7 +208,10 @@ func (ix *IncrementalIndex) EvictBefore(window int) int {
 // appearance, walking metrics in name order and each metric's samples in
 // arrival order. A sample whose T and W equal (==) those of its window's
 // first period takes that period's ID without a map keyed by the whole
-// triple.
+// triple. When the windows span at most two slots per sample, as a
+// request's or a stream's consecutive windows do, a window's first
+// period is found in a slice indexed by window - min; sparser windows
+// use a map.
 func (ix *IncrementalIndex) Snapshot() *WorkloadIndex {
 	sort.Strings(ix.metrics)
 	out := &WorkloadIndex{
@@ -211,22 +219,54 @@ func (ix *IncrementalIndex) Snapshot() *WorkloadIndex {
 		groups:  make(map[string]*indexedMetric, len(ix.groups)),
 		n:       ix.n,
 	}
-	clear(ix.first)
-	clear(ix.ids)
 	cols := make([]indexedMetric, len(ix.metrics))
-	idSlab := make([]uint32, ix.n)
+	lo, hi := math.MaxInt, math.MinInt
 	for i, metric := range ix.metrics {
 		g := ix.groups[metric]
 		n := len(g.t)
-		contribID := idSlab[:n:n]
-		idSlab = idSlab[n:]
-		for j := range contribID {
-			t, w, win := g.t[j], g.w[j], g.window[j]
-			id, ok := ix.first[win]
+		cols[i] = indexedMetric{t: g.t[:n:n], w: g.w[:n:n], intens: g.intens[:n:n], window: g.window[:n:n]}
+		out.groups[metric] = &cols[i]
+		for _, win := range g.window {
+			lo, hi = min(lo, win), max(hi, win)
+		}
+	}
+	// hi - lo in uint64 cannot overflow, whatever the windows.
+	dense := ix.n > 0 && uint64(hi)-uint64(lo) < 2*uint64(ix.n)
+	if dense {
+		span := int(uint64(hi)-uint64(lo)) + 1
+		ix.firstDense = slices.Grow(ix.firstDense[:0], span)[:span]
+		for i := range ix.firstDense {
+			ix.firstDense[i] = noPeriod
+		}
+	} else if ix.first == nil {
+		ix.first = make(map[int]uint32)
+	} else {
+		clear(ix.first)
+	}
+	clear(ix.ids)
+	idSlab := make([]uint32, ix.n)
+	for i := range cols {
+		c := &cols[i]
+		n := len(c.t)
+		c.contribID, idSlab = idSlab[:n:n], idSlab[n:]
+		for j := range c.contribID {
+			t, w, win := c.t[j], c.w[j], c.window[j]
+			var id uint32
+			ok := false
+			if dense {
+				id = ix.firstDense[win-lo]
+				ok = id != noPeriod
+			} else {
+				id, ok = ix.first[win]
+			}
 			switch {
 			case !ok:
 				id = uint32(len(out.uniqT))
-				ix.first[win] = id
+				if dense {
+					ix.firstDense[win-lo] = id
+				} else {
+					ix.first[win] = id
+				}
 				out.uniqT = append(out.uniqT, t)
 				out.uniqW = append(out.uniqW, w)
 			case out.uniqT[id] == t && out.uniqW[id] == w:
@@ -242,16 +282,8 @@ func (ix *IncrementalIndex) Snapshot() *WorkloadIndex {
 					out.uniqW = append(out.uniqW, w)
 				}
 			}
-			contribID[j] = id
+			c.contribID[j] = id
 		}
-		cols[i] = indexedMetric{
-			t:         g.t[:n:n],
-			w:         g.w[:n:n],
-			intens:    g.intens[:n:n],
-			window:    g.window[:n:n],
-			contribID: contribID,
-		}
-		out.groups[metric] = &cols[i]
 	}
 	return out
 }

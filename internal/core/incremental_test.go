@@ -432,3 +432,37 @@ func TestIncrementalIndexSlabIsolation(t *testing.T) {
 		indexesIdentical(t, snap, want)
 	}
 }
+
+// TestIncrementalIndexSparseWindows compares snapshots with oracleIndex
+// on windows that Snapshot numbers through its dense table (a run of
+// consecutive windows) and through its map (windows far apart, up to
+// the ends of int), one index switching between the two as it grows.
+func TestIncrementalIndexSparseWindows(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	names := []string{"alpha", "beta", "gamma", "delta"}
+	runs := map[string][]int{
+		"dense":          {5, 6, 7, 8, 6, 5},
+		"negative dense": {-3, -2, -1, 0, 1},
+		"sparse":         {5, 1_000_000, 5, -1_000_000},
+		"dense then far": {1, 2, 3, 4, 1 << 40, 3},
+		"ends of int":    {math.MinInt, math.MaxInt, 0, math.MinInt},
+	}
+	for name, wins := range runs {
+		t.Run(name, func(t *testing.T) {
+			inc := NewIncrementalIndex()
+			var live []Sample
+			for _, win := range wins {
+				batch := randInterval(rng, names, win)
+				inc.Add(batch...)
+				for _, s := range batch {
+					if s.Valid() {
+						live = append(live, s)
+					}
+				}
+				want := oracleIndex(live)
+				indexesIdentical(t, inc.Snapshot(), want)
+				indexesIdentical(t, IndexWorkload(Dataset{Samples: live}), want)
+			}
+		})
+	}
+}

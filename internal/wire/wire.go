@@ -299,21 +299,14 @@ func appendF64(dst []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 }
 
-// metricDict is a sample list's metric dictionary, in first-appearance
-// order. Dictionary indices are uint32, so any sample count a frame can
-// physically hold is representable — there is no silent-truncation edge.
-type metricDict struct {
-	idx   map[string]uint32
-	names []string
-}
-
-func newMetricDict(samples []core.Sample) metricDict {
-	d := metricDict{idx: make(map[string]uint32, 16)}
-	for _, s := range samples {
-		if _, ok := d.idx[s.Metric]; !ok {
-			d.idx[s.Metric] = uint32(len(d.names))
-			d.names = append(d.names, s.Metric)
-		}
+// newMetricDict numbers samples' metric names in first-appearance order:
+// the sample list's metric dictionary. Dictionary indices are uint32, so
+// any sample count a frame can physically hold is representable — there
+// is no silent-truncation edge. The caller releases the numbering.
+func newMetricDict(samples []core.Sample) *core.MetricNumbering {
+	d := core.NewMetricNumbering()
+	for i := range samples {
+		d.ID(samples[i].Metric)
 	}
 	return d
 }
@@ -321,18 +314,24 @@ func newMetricDict(samples []core.Sample) metricDict {
 // appendSamples writes samples' metric dictionary followed by the sample
 // rows.
 func appendSamples(dst []byte, samples []core.Sample) []byte {
-	return newMetricDict(samples).encode(dst, samples)
+	d := newMetricDict(samples)
+	defer d.Release()
+	return encodeSamples(dst, d, samples)
 }
 
-// encode writes the dictionary followed by the sample rows.
-func (d metricDict) encode(dst []byte, samples []core.Sample) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(d.names)))
-	for _, m := range d.names {
+// encodeSamples writes the dictionary d holds for samples followed by the
+// sample rows. Numbering the samples again returns the IDs d gave them.
+func encodeSamples(dst []byte, d *core.MetricNumbering, samples []core.Sample) []byte {
+	names := d.Names()
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(names)))
+	for _, m := range names {
 		dst = appendString(dst, m)
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(samples)))
-	for _, s := range samples {
-		dst = binary.LittleEndian.AppendUint32(dst, d.idx[s.Metric])
+	for i := range samples {
+		s := &samples[i]
+		id, _ := d.ID(s.Metric)
+		dst = binary.LittleEndian.AppendUint32(dst, id)
 		dst = appendF64(dst, s.T)
 		dst = appendF64(dst, s.W)
 		dst = appendF64(dst, s.M)
@@ -406,8 +405,9 @@ func EncodeEstimateRequest(req *EstimateRequest, limit int) []byte {
 
 func appendEstimateRequest(dst []byte, req *EstimateRequest, limit int) []byte {
 	d := newMetricDict(req.Samples)
+	defer d.Release()
 	n := HeaderSize + 16 + 8 + len(req.Samples)*sampleRowSize
-	for _, m := range d.names {
+	for _, m := range d.Names() {
 		n += 2 + min(len(m), math.MaxUint16)
 	}
 	if len(req.Sched) > 0 {
@@ -425,7 +425,7 @@ func appendEstimateRequest(dst []byte, req *EstimateRequest, limit int) []byte {
 	dst, start := appendHeader(dst, MsgEstimateRequest)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(req.Top)))
 	dst = binary.LittleEndian.AppendUint64(dst, 0) // reserved slot
-	dst = d.encode(dst, req.Samples)
+	dst = encodeSamples(dst, d, req.Samples)
 	// Sched section: optional and strictly trailing, so requests without
 	// scheduler events stay byte-identical to the pre-sched encoding.
 	if len(req.Sched) > 0 {
