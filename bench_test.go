@@ -332,8 +332,15 @@ func BenchmarkFitRoofline(b *testing.B) {
 
 func math1p(x float64) float64 { return 1 + x }
 
+// fresh holds the latest freshly allocated Estimation of the uncached
+// benchmark loops, so that each op allocates it on the heap as a caller
+// keeping its result does: BatchEstimateInto does not retain est, and an
+// unreferenced new(core.Estimation) would live on the stack.
+var fresh *core.Estimation
+
 // BenchmarkEnsembleEstimate times a full workload estimation against the
-// trained ensemble.
+// trained ensemble with no cache: every op re-indexes the workload and
+// estimates into a fresh Estimation.
 func BenchmarkEnsembleEstimate(b *testing.B) {
 	s := benchSession(b)
 	ens, err := s.Ensemble()
@@ -345,10 +352,12 @@ func BenchmarkEnsembleEstimate(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := runs[0].Data
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ens.Estimate(data); err != nil {
+		fresh = new(core.Estimation)
+		if err := ens.BatchEstimateInto(ctx, core.IndexWorkload(data), core.EstimateOptions{}, fresh); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -374,13 +383,13 @@ func BenchmarkEngineRepeatedEstimate(b *testing.B) {
 	eng := engine.New(engine.Options{})
 	ctx := context.Background()
 	// Warm the index cache once — steady state is what serve/watch see.
-	if _, err := eng.Estimate(ctx, ens, data, core.EstimateOptions{}); err != nil {
+	if _, err := eng.Estimate(ctx, ens, data); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Estimate(ctx, ens, data, core.EstimateOptions{}); err != nil {
+		if _, err := eng.Estimate(ctx, ens, data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -469,7 +478,8 @@ func BenchmarkBatchEstimate(b *testing.B) {
 	batchPerOp := b.Elapsed() / time.Duration(b.N)
 	naiveStart := time.Now()
 	for i := 0; i < b.N; i++ {
-		if _, err := ens.Estimate(data); err != nil {
+		fresh = new(core.Estimation)
+		if err := ens.BatchEstimateInto(ctx, core.IndexWorkload(data), opts, fresh); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,6 +12,7 @@ package spire_test
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"testing"
 
@@ -30,11 +31,17 @@ type benchRecording struct {
 	} `json:"gate"`
 }
 
-func TestBenchGate(t *testing.T) {
+// gateRuns is how many times each gate re-measures its benchmark.
+const gateRuns = 3
+
+// gateRecording skips the test unless BENCH_GATE is set, then reads the
+// BENCH_*.json recording at path.
+func gateRecording(t *testing.T, path string) benchRecording {
+	t.Helper()
 	if os.Getenv("BENCH_GATE") == "" {
 		t.Skip("set BENCH_GATE=1 (make bench-gate) to run the benchmark regression gate")
 	}
-	raw, err := os.ReadFile("BENCH_core_columnar.json")
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,6 +49,27 @@ func TestBenchGate(t *testing.T) {
 	if err := json.Unmarshal(raw, &rec); err != nil {
 		t.Fatal(err)
 	}
+	return rec
+}
+
+// bestOfRuns runs bench gateRuns times and returns the lowest ns/op and
+// the lowest allocs/op. The minimum over independent runs is the
+// measurement least polluted by preemption; allocs/op must be at the
+// floor in every run's best case too.
+func bestOfRuns(t *testing.T, name string, bench func(*testing.B)) (bestNs, bestAllocs float64) {
+	t.Helper()
+	bestNs, bestAllocs = math.Inf(1), math.Inf(1)
+	for i := 0; i < gateRuns; i++ {
+		r := testing.Benchmark(bench)
+		ns, allocs := float64(r.NsPerOp()), float64(r.AllocsPerOp())
+		bestNs, bestAllocs = math.Min(bestNs, ns), math.Min(bestAllocs, allocs)
+		t.Logf("%s run %d: %.0f ns/op, %.0f allocs/op (N=%d)", name, i+1, ns, allocs, r.N)
+	}
+	return bestNs, bestAllocs
+}
+
+func TestBenchGate(t *testing.T) {
+	rec := gateRecording(t, "BENCH_core_columnar.json")
 	base, ok := rec.Benchmarks[rec.Gate.Benchmark]
 	if !ok {
 		t.Fatalf("recording has no entry for gate benchmark %q", rec.Gate.Benchmark)
@@ -64,41 +92,25 @@ func TestBenchGate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Best of 3: the minimum over independent runs is the measurement
-	// least polluted by preemption; allocs/op must be at the floor in
-	// every run's best case too.
-	const runsN = 3
-	bestNs, bestAllocs := 0.0, 0.0
-	for i := 0; i < runsN; i++ {
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for j := 0; j < b.N; j++ {
-				if err := ens.BatchEstimateInto(ctx, ix, opts, &est); err != nil {
-					b.Fatal(err)
-				}
+	bestNs, bestAllocs := bestOfRuns(t, rec.Gate.Benchmark, func(b *testing.B) {
+		b.ReportAllocs()
+		for j := 0; j < b.N; j++ {
+			if err := ens.BatchEstimateInto(ctx, ix, opts, &est); err != nil {
+				b.Fatal(err)
 			}
-		})
-		ns := float64(r.NsPerOp())
-		allocs := float64(r.AllocsPerOp())
-		if i == 0 || ns < bestNs {
-			bestNs = ns
 		}
-		if i == 0 || allocs < bestAllocs {
-			bestAllocs = allocs
-		}
-		t.Logf("run %d: %.0f ns/op, %.0f allocs/op (N=%d)", i+1, ns, allocs, r.N)
-	}
+	})
 
 	limit := base.NsPerOp * (1 + rec.Gate.NsPerOpMaxRegression)
 	t.Logf("gate: best %.0f ns/op vs recorded %.0f (limit %.0f), best %.0f allocs/op (max %.0f)",
 		bestNs, base.NsPerOp, limit, bestAllocs, rec.Gate.AllocsPerOpMax)
 	if bestNs > limit {
 		t.Errorf("%s regressed: best-of-%d %.0f ns/op exceeds %.0f (recorded %.0f + %.0f%% tolerance)",
-			rec.Gate.Benchmark, runsN, bestNs, limit, base.NsPerOp, rec.Gate.NsPerOpMaxRegression*100)
+			rec.Gate.Benchmark, gateRuns, bestNs, limit, base.NsPerOp, rec.Gate.NsPerOpMaxRegression*100)
 	}
 	if bestAllocs > rec.Gate.AllocsPerOpMax {
 		t.Errorf("%s allocates: best-of-%d %.0f allocs/op, want <= %.0f — the zero-allocation steady state is broken",
-			rec.Gate.Benchmark, runsN, bestAllocs, rec.Gate.AllocsPerOpMax)
+			rec.Gate.Benchmark, gateRuns, bestAllocs, rec.Gate.AllocsPerOpMax)
 	}
 }
 
@@ -109,17 +121,7 @@ func TestBenchGate(t *testing.T) {
 // the recorded tolerance and without allocating. BENCH_hierarchy.json
 // documents the recorded trajectory point.
 func TestBenchGateHierarchy(t *testing.T) {
-	if os.Getenv("BENCH_GATE") == "" {
-		t.Skip("set BENCH_GATE=1 (make bench-gate) to run the benchmark regression gate")
-	}
-	raw, err := os.ReadFile("BENCH_core_columnar.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec benchRecording
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		t.Fatal(err)
-	}
+	rec := gateRecording(t, "BENCH_core_columnar.json")
 	base, ok := rec.Benchmarks["BenchmarkBatchEstimate"]
 	if !ok {
 		t.Fatal("recording has no BenchmarkBatchEstimate entry")
@@ -146,37 +148,24 @@ func TestBenchGateHierarchy(t *testing.T) {
 		t.Fatal("session workload did not produce a hierarchical verdict")
 	}
 
-	const runsN = 3
-	bestNs, bestAllocs := 0.0, 0.0
-	for i := 0; i < runsN; i++ {
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for j := 0; j < b.N; j++ {
-				if err := hier.BatchEstimateInto(ctx, ix, opts, &est); err != nil {
-					b.Fatal(err)
-				}
+	bestNs, bestAllocs := bestOfRuns(t, "BenchmarkHierarchicalEstimate", func(b *testing.B) {
+		b.ReportAllocs()
+		for j := 0; j < b.N; j++ {
+			if err := hier.BatchEstimateInto(ctx, ix, opts, &est); err != nil {
+				b.Fatal(err)
 			}
-		})
-		ns := float64(r.NsPerOp())
-		allocs := float64(r.AllocsPerOp())
-		if i == 0 || ns < bestNs {
-			bestNs = ns
 		}
-		if i == 0 || allocs < bestAllocs {
-			bestAllocs = allocs
-		}
-		t.Logf("run %d: %.0f ns/op, %.0f allocs/op (N=%d)", i+1, ns, allocs, r.N)
-	}
+	})
 
 	limit := base.NsPerOp * (1 + rec.Gate.NsPerOpMaxRegression)
 	t.Logf("gate: best %.0f ns/op vs flat recording %.0f (limit %.0f), best %.0f allocs/op (max 0)",
 		bestNs, base.NsPerOp, limit, bestAllocs)
 	if bestNs > limit {
 		t.Errorf("BenchmarkHierarchicalEstimate regressed: best-of-%d %.0f ns/op exceeds %.0f (flat recording %.0f + %.0f%% tolerance)",
-			runsN, bestNs, limit, base.NsPerOp, rec.Gate.NsPerOpMaxRegression*100)
+			gateRuns, bestNs, limit, base.NsPerOp, rec.Gate.NsPerOpMaxRegression*100)
 	}
 	if bestAllocs > 0 {
 		t.Errorf("BenchmarkHierarchicalEstimate allocates: best-of-%d %.0f allocs/op — the hierarchy broke the zero-allocation steady state",
-			runsN, bestAllocs)
+			gateRuns, bestAllocs)
 	}
 }

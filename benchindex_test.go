@@ -8,10 +8,8 @@ package spire_test
 // context only.
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
-	"os"
 	"testing"
 
 	"spire/internal/core"
@@ -106,17 +104,7 @@ func BenchmarkWindowSnapshot(b *testing.B) {
 // TestBenchGateIndex re-measures the index benchmarks, best of 3, and
 // fails when any one's allocs/op differs from BENCH_index.json.
 func TestBenchGateIndex(t *testing.T) {
-	if os.Getenv("BENCH_GATE") == "" {
-		t.Skip("set BENCH_GATE=1 (make bench-gate) to run the benchmark regression gate")
-	}
-	raw, err := os.ReadFile("BENCH_index.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec benchRecording
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		t.Fatal(err)
-	}
+	rec := gateRecording(t, "BENCH_index.json")
 	for name, bench := range map[string]func(*testing.B){
 		"BenchmarkIndexWorkload/paper":    benchIndexPaper,
 		"BenchmarkIndexWorkload/unshared": benchIndexUnshared,
@@ -127,12 +115,7 @@ func TestBenchGateIndex(t *testing.T) {
 			t.Errorf("BENCH_index.json has no entry for %s", name)
 			continue
 		}
-		bestNs, bestAllocs := math.Inf(1), math.Inf(1)
-		for i := 0; i < 3; i++ {
-			r := testing.Benchmark(bench)
-			bestNs = math.Min(bestNs, float64(r.NsPerOp()))
-			bestAllocs = math.Min(bestAllocs, float64(r.AllocsPerOp()))
-		}
+		bestNs, bestAllocs := bestOfRuns(t, name, bench)
 		t.Logf("%s: best %.0f ns/op (recorded %.0f), %.0f allocs/op (recorded %.0f)",
 			name, bestNs, want.NsPerOp, bestAllocs, want.AllocsPerOp)
 		if bestAllocs != want.AllocsPerOp {

@@ -9,8 +9,6 @@ package spire_test
 // holds allocations to the recorded ceiling instead of zero.
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 
 	"spire/internal/analysis"
@@ -81,17 +79,7 @@ func BenchmarkCombinedRanking(b *testing.B) {
 // tolerance, allocs/op at or below the recorded ceiling (allocation
 // counts here are deterministic for a fixed event stream).
 func TestBenchGateWaitgraph(t *testing.T) {
-	if os.Getenv("BENCH_GATE") == "" {
-		t.Skip("set BENCH_GATE=1 (make bench-gate) to run the benchmark regression gate")
-	}
-	raw, err := os.ReadFile("BENCH_waitgraph.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec benchRecording
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		t.Fatal(err)
-	}
+	rec := gateRecording(t, "BENCH_waitgraph.json")
 
 	events := waitgraphBenchEvents(t)
 	est := waitgraphBenchEstimation()
@@ -113,37 +101,24 @@ func TestBenchGateWaitgraph(t *testing.T) {
 		if !ok {
 			t.Fatalf("BENCH_waitgraph.json has no entry for %s", tc.name)
 		}
-		const runsN = 3
-		bestNs, bestAllocs := 0.0, 0.0
-		for i := 0; i < runsN; i++ {
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for j := 0; j < b.N; j++ {
-					if err := tc.op(); err != nil {
-						b.Fatal(err)
-					}
+		bestNs, bestAllocs := bestOfRuns(t, tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for j := 0; j < b.N; j++ {
+				if err := tc.op(); err != nil {
+					b.Fatal(err)
 				}
-			})
-			ns := float64(r.NsPerOp())
-			allocs := float64(r.AllocsPerOp())
-			if i == 0 || ns < bestNs {
-				bestNs = ns
 			}
-			if i == 0 || allocs < bestAllocs {
-				bestAllocs = allocs
-			}
-			t.Logf("%s run %d: %.0f ns/op, %.0f allocs/op (N=%d)", tc.name, i+1, ns, allocs, r.N)
-		}
+		})
 		limit := base.NsPerOp * (1 + rec.Gate.NsPerOpMaxRegression)
 		t.Logf("%s gate: best %.0f ns/op vs recorded %.0f (limit %.0f), best %.0f allocs/op (ceiling %.0f)",
 			tc.name, bestNs, base.NsPerOp, limit, bestAllocs, base.AllocsPerOp)
 		if bestNs > limit {
 			t.Errorf("%s regressed: best-of-%d %.0f ns/op exceeds %.0f (recorded %.0f + %.0f%% tolerance)",
-				tc.name, runsN, bestNs, limit, base.NsPerOp, rec.Gate.NsPerOpMaxRegression*100)
+				tc.name, gateRuns, bestNs, limit, base.NsPerOp, rec.Gate.NsPerOpMaxRegression*100)
 		}
 		if bestAllocs > base.AllocsPerOp {
 			t.Errorf("%s allocates more: best-of-%d %.0f allocs/op, recorded ceiling %.0f",
-				tc.name, runsN, bestAllocs, base.AllocsPerOp)
+				tc.name, gateRuns, bestAllocs, base.AllocsPerOp)
 		}
 	}
 }

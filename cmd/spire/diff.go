@@ -102,12 +102,11 @@ func cmdDiff(args []string) error {
 			modelID = id
 		}
 		eng := engine.Default()
-		opts := core.EstimateOptions{}
-		estB, err = eng.Estimate(ctx, ens, before, opts)
+		estB, err = eng.Estimate(ctx, ens, before)
 		if err != nil {
 			return fmt.Errorf("before: %w", err)
 		}
-		estA, err = eng.Estimate(ctx, ens, after, opts)
+		estA, err = eng.Estimate(ctx, ens, after)
 		if err != nil {
 			return fmt.Errorf("after: %w", err)
 		}

@@ -257,7 +257,7 @@ func cmdAnalyze(args []string) error {
 	if err != nil {
 		return err
 	}
-	est, err = engine.Default().Estimate(context.Background(), ens, data, core.EstimateOptions{})
+	est, err = engine.Default().Estimate(context.Background(), ens, data)
 	if err != nil {
 		return err
 	}

@@ -67,7 +67,7 @@ func main() {
 	// 2. Hunt: analyze the held-out memory-bound test workload.
 	target := "onnx"
 	data, rep := collect(target)
-	est, err := engine.Default().Estimate(context.Background(), model, data, core.EstimateOptions{})
+	est, err := engine.Default().Estimate(context.Background(), model, data)
 	if err != nil {
 		log.Fatal(err)
 	}

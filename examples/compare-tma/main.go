@@ -70,7 +70,7 @@ func main() {
 	fmt.Printf("TMA main bottleneck: %s\n\n", bd.MainBottleneck())
 
 	// SPIRE: metric ranking, via the shared estimation engine.
-	est, err := engine.Default().Estimate(context.Background(), model, data, core.EstimateOptions{})
+	est, err := engine.Default().Estimate(context.Background(), model, data)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -111,10 +111,6 @@ func main() {
 
 	// Query the bound directly for a hypothetical workload.
 	for _, ipm := range []float64{2, 10, 50} {
-		p, err := model.Estimate1(metric, ipm)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("at %3.0f instructions/descriptor-miss, attainable IPC <= %.2f\n", ipm, p)
+		fmt.Printf("at %3.0f instructions/descriptor-miss, attainable IPC <= %.2f\n", ipm, r.Eval(ipm))
 	}
 }

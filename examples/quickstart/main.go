@@ -64,7 +64,7 @@ func main() {
 
 	// 4. Estimate and rank on the shared engine: the lowest per-metric
 	//    estimate is the likely bottleneck (paper Fig. 4).
-	est, err := engine.Default().Estimate(context.Background(), model, workload, core.EstimateOptions{})
+	est, err := engine.Default().Estimate(context.Background(), model, workload)
 	if err != nil {
 		log.Fatal(err)
 	}

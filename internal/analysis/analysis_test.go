@@ -2,11 +2,13 @@ package analysis
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
 
 	"spire/internal/core"
+	"spire/internal/engine"
 	"spire/internal/pmu"
 )
 
@@ -219,7 +221,7 @@ func TestAnalyzeWithModelDirections(t *testing.T) {
 	}
 	var wl core.Dataset
 	wl.Add(core.Sample{Metric: "cycle_activity.stalls_total", T: 1, W: 2, M: 1}) // I = 2, left of peak
-	est, err := ens.Estimate(wl)
+	est, err := engine.Default().Estimate(context.Background(), ens, wl)
 	if err != nil {
 		t.Fatal(err)
 	}

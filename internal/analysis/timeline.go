@@ -55,7 +55,7 @@ func Timeline(ens *core.Ensemble, d core.Dataset) ([]TimelinePoint, error) {
 	for _, w := range windows {
 		var wd core.Dataset
 		wd.Add(byWindow[w]...)
-		est, err := eng.Estimate(context.Background(), ens, wd, core.EstimateOptions{})
+		est, err := eng.Estimate(context.Background(), ens, wd)
 		if err != nil {
 			continue
 		}

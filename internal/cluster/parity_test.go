@@ -232,7 +232,7 @@ func TestClusterByteParity(t *testing.T) {
 }
 
 // scanParityRequests are JSON bodies at the edge of the router's direct
-// scan (wire.ScanEstimateJSON), each kind with both Accepts: an escaped
+// scan (wire.ScanEstimateBody), each kind with both Accepts: an escaped
 // metric, a leading-zero number, a raw control byte in a metric and a
 // fractional window go through the encoding/json fallback, while the same
 // request spaced out around every token is scanned directly.
@@ -284,8 +284,8 @@ func TestClusterParityScanFallback(t *testing.T) {
 	tc.waitConverged(t, tc.pushModel(t, model), 5_000_000_000)
 
 	for _, pr := range scanParityRequests(rand.New(rand.NewSource(19))) {
-		if _, ok := wire.ScanEstimateJSON(pr.body); ok != (pr.kind == "spaced") {
-			t.Fatalf("%s: direct scan accepted %v: %q", pr.kind, ok, pr.body)
+		if _, err := wire.ScanEstimateBody(pr.body); (err == nil) != (pr.kind == "spaced") {
+			t.Fatalf("%s: direct scan error %v: %q", pr.kind, err, pr.body)
 		}
 		sStatus, sCT, sModel, sBody := doEstimate(t, single.URL, pr)
 		cStatus, cCT, cModel, cBody := doEstimate(t, tc.url, pr)

@@ -10,7 +10,7 @@ import (
 // WorkloadIndex is a workload dataset pre-indexed for repeated estimation:
 // samples are grouped by metric once, laid out as contiguous per-metric
 // columns (structure-of-arrays), and per-sample operational intensities
-// are precomputed, so that BatchEstimate does no re-grouping or
+// are precomputed, so that BatchEstimateInto does no re-grouping or
 // re-derivation work per call and streams each metric's samples as flat
 // []float64 scans. An index is immutable and safe for concurrent use by
 // any number of estimators.
@@ -60,7 +60,7 @@ func (ix *WorkloadIndex) Metrics() []string {
 // Len returns the number of indexed (valid) samples.
 func (ix *WorkloadIndex) Len() int { return ix.n }
 
-// EstimateOptions configures BatchEstimate.
+// EstimateOptions configures BatchEstimateInto.
 type EstimateOptions struct {
 	// Workers is ignored: estimation always runs serially on the
 	// caller's goroutine. The field remains so existing callers that
@@ -71,8 +71,8 @@ type EstimateOptions struct {
 // chainEval is the one roofline evaluator: the chain is flattened into
 // parallel breakpoint columns plus a per-segment start table, and
 // segment lookup runs by interpolation search over the breakpoint
-// abscissae. Roofline.Eval, Estimate1, EstimateWithCI, the batch merge
-// and the hierarchy's surfaces all evaluate through it. The segment table
+// abscissae. Roofline.Eval, EstimateWithCI, the batch merge and the
+// hierarchy's surfaces all evaluate through it. The segment table
 // stores endpoints — not a precomputed slope — because evaluating
 // y0 + ((i-x0)/(x1-x0))*(y1-y0) with the division done at eval time keeps
 // the rounding of the direct segment-walk definition (internal/oracle's
@@ -354,22 +354,13 @@ func (sc *batchScratch) stampTable(n int) ([]uint32, uint32) {
 	return sc.stamp, sc.epoch
 }
 
-// BatchEstimate runs the Fig. 4 estimation process against a pre-built
-// workload index. It allocates a fresh Estimation; steady-state callers
-// (serving, streaming re-estimation) use BatchEstimateInto to reuse one.
-func (e *Ensemble) BatchEstimate(ctx context.Context, ix *WorkloadIndex, opts EstimateOptions) (*Estimation, error) {
-	est := &Estimation{}
-	if err := e.BatchEstimateInto(ctx, ix, opts, est); err != nil {
-		return nil, err
-	}
-	return est, nil
-}
-
-// BatchEstimateInto runs the Fig. 4 estimation process against a
-// pre-built workload index. Shared metrics are evaluated one after
-// another in metric-name order on the caller's goroutine, and each
-// result is merged as soon as it is computed, so the estimation is
-// deterministic and agrees with Ensemble.Estimate. opts is accepted for
+// BatchEstimateInto is the one implementation of the ensemble-level
+// estimation process of paper Fig. 4 / Eq. 1: estimate each indexed
+// sample with its metric's roofline, merge per metric with a
+// time-weighted average, and take the minimum across metrics. Shared
+// metrics are evaluated one after another in metric-name order on the
+// caller's goroutine, and each result is merged as soon as it is
+// computed, so the estimation is deterministic. opts is accepted for
 // compatibility and has no effect.
 //
 // The result is written into est, reusing its slice capacities: a caller

@@ -12,43 +12,15 @@ import (
 	"spire/internal/oracle"
 )
 
-// estimationsEquivalent compares two estimations field by field. Every
-// field must match exactly except MeasuredThroughput, which may differ in
-// the last bits because Ensemble.Estimate accumulates deduplicated
-// periods in map-iteration order while BatchEstimate merges them in
-// metric-name order.
-func estimationsEquivalent(t *testing.T, got, want *Estimation) {
-	t.Helper()
-	if !reflect.DeepEqual(got.PerMetric, want.PerMetric) {
-		// NaN-tolerant per-metric comparison: DeepEqual is false for
-		// NaN MeanIntensity even when both sides agree.
-		if len(got.PerMetric) != len(want.PerMetric) {
-			t.Fatalf("PerMetric length %d != %d", len(got.PerMetric), len(want.PerMetric))
-		}
-		for i := range got.PerMetric {
-			g, w := got.PerMetric[i], want.PerMetric[i]
-			if g.Metric != w.Metric || g.MeanEstimate != w.MeanEstimate || g.Samples != w.Samples {
-				t.Fatalf("PerMetric[%d] = %+v, want %+v", i, g, w)
-			}
-			if g.MeanIntensity != w.MeanIntensity &&
-				!(math.IsNaN(g.MeanIntensity) && math.IsNaN(w.MeanIntensity)) {
-				t.Fatalf("PerMetric[%d].MeanIntensity = %g, want %g", i, g.MeanIntensity, w.MeanIntensity)
-			}
-		}
+// estimate indexes d and runs the Eq. 1 estimation against ens into a
+// fresh Estimation: engine.Estimate minus the index cache, for tests that
+// cannot import engine.
+func estimate(ens *Ensemble, d Dataset) (*Estimation, error) {
+	est := new(Estimation)
+	if err := ens.BatchEstimateInto(context.Background(), IndexWorkload(d), EstimateOptions{}, est); err != nil {
+		return nil, err
 	}
-	if got.MaxThroughput != want.MaxThroughput {
-		t.Fatalf("MaxThroughput %g != %g", got.MaxThroughput, want.MaxThroughput)
-	}
-	if !reflect.DeepEqual(got.Coverage, want.Coverage) {
-		t.Fatalf("Coverage %+v != %+v", got.Coverage, want.Coverage)
-	}
-	gm, wm := got.MeasuredThroughput, want.MeasuredThroughput
-	if math.IsNaN(gm) != math.IsNaN(wm) {
-		t.Fatalf("MeasuredThroughput NaN-ness differs: %g vs %g", gm, wm)
-	}
-	if !math.IsNaN(gm) && math.Abs(gm-wm) > 1e-9*(1+math.Abs(wm)) {
-		t.Fatalf("MeasuredThroughput %g != %g", gm, wm)
-	}
+	return est, nil
 }
 
 // randWorkload builds a workload over a random subset of metric names,
@@ -74,39 +46,8 @@ func randWorkload(rng *rand.Rand) Dataset {
 	return d
 }
 
-// TestBatchEstimateMatchesEstimate: for random models and workloads, the
-// pre-indexed path reproduces Ensemble.Estimate.
-func TestBatchEstimateMatchesEstimate(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	ctx := context.Background()
-	checked := 0
-	for checked < 120 {
-		train := randMultiMetricDataset(rng, 4)
-		ens, err := Train(train, TrainOptions{})
-		if err != nil {
-			continue
-		}
-		w := randWorkload(rng)
-		want, werr := ens.Estimate(w)
-		ix := IndexWorkload(w)
-		got, gerr := ens.BatchEstimate(ctx, ix, EstimateOptions{})
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("error mismatch: %v vs %v", gerr, werr)
-		}
-		if werr != nil {
-			if !errors.Is(gerr, ErrNoSamples) {
-				t.Fatalf("unexpected error %v", gerr)
-			}
-		} else {
-			estimationsEquivalent(t, got, want)
-		}
-		checked++
-	}
-}
-
 // TestBatchEstimateDeterministicAcrossCalls: repeated batch estimations
-// are bit-identical (including MeasuredThroughput, which the non-indexed
-// path does not guarantee).
+// are bit-identical, MeasuredThroughput included.
 func TestBatchEstimateDeterministicAcrossCalls(t *testing.T) {
 	ens := trainTwoMetric(t)
 	var w Dataset
@@ -114,13 +55,13 @@ func TestBatchEstimateDeterministicAcrossCalls(t *testing.T) {
 	w.Add(mkPlausible("misses", 16)...)
 	ix := IndexWorkload(w)
 	ctx := context.Background()
-	first, err := ens.BatchEstimate(ctx, ix, EstimateOptions{})
-	if err != nil {
+	first := new(Estimation)
+	if err := ens.BatchEstimateInto(ctx, ix, EstimateOptions{}, first); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		again, err := ens.BatchEstimate(ctx, ix, EstimateOptions{})
-		if err != nil {
+		again := new(Estimation)
+		if err := ens.BatchEstimateInto(ctx, ix, EstimateOptions{}, again); err != nil {
 			t.Fatal(err)
 		}
 		if again.MeasuredThroughput != first.MeasuredThroughput {
@@ -139,70 +80,67 @@ func TestBatchEstimateCancellation(t *testing.T) {
 	w.Add(mkPlausible("stalls", 32)...)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ens.BatchEstimate(ctx, IndexWorkload(w), EstimateOptions{}); !errors.Is(err, context.Canceled) {
+	if err := ens.BatchEstimateInto(ctx, IndexWorkload(w), EstimateOptions{}, new(Estimation)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 // TestBatchEstimateEmptyWorkload: an empty (or fully invalid) workload
-// yields ErrNoSamples from both paths.
+// yields ErrNoSamples.
 func TestBatchEstimateEmptyWorkload(t *testing.T) {
 	ens := trainTwoMetric(t)
 	ctx := context.Background()
 	var empty Dataset
-	if _, err := ens.BatchEstimate(ctx, IndexWorkload(empty), EstimateOptions{}); !errors.Is(err, ErrNoSamples) {
+	if err := ens.BatchEstimateInto(ctx, IndexWorkload(empty), EstimateOptions{}, new(Estimation)); !errors.Is(err, ErrNoSamples) {
 		t.Fatalf("empty: err = %v, want ErrNoSamples", err)
 	}
 	var invalid Dataset
 	invalid.Add(Sample{Metric: "stalls", T: -1, W: 2, M: 1})
-	if _, err := ens.BatchEstimate(ctx, IndexWorkload(invalid), EstimateOptions{}); !errors.Is(err, ErrNoSamples) {
+	if err := ens.BatchEstimateInto(ctx, IndexWorkload(invalid), EstimateOptions{}, new(Estimation)); !errors.Is(err, ErrNoSamples) {
 		t.Fatalf("invalid-only: err = %v, want ErrNoSamples", err)
 	}
 	var unmodeled Dataset
 	unmodeled.Add(mkPlausible("other.event", 4)...)
-	if _, err := ens.BatchEstimate(ctx, IndexWorkload(unmodeled), EstimateOptions{}); !errors.Is(err, ErrNoSamples) {
+	if err := ens.BatchEstimateInto(ctx, IndexWorkload(unmodeled), EstimateOptions{}, new(Estimation)); !errors.Is(err, ErrNoSamples) {
 		t.Fatalf("no-overlap: err = %v, want ErrNoSamples", err)
 	}
 }
 
-// TestBatchEstimateSingleSample: a one-sample workload estimates exactly
-// like the non-indexed path.
+// TestBatchEstimateSingleSample: a one-sample workload estimates its
+// metric's roofline at the sample's intensity, and measures its own W/T.
 func TestBatchEstimateSingleSample(t *testing.T) {
 	ens := trainTwoMetric(t)
 	var w Dataset
-	w.Add(Sample{Metric: "stalls", T: 1000, W: 1500, M: 50})
-	want, err := ens.Estimate(w)
+	s := Sample{Metric: "stalls", T: 1000, W: 1500, M: 50}
+	w.Add(s)
+	got, err := estimate(ens, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ens.BatchEstimate(context.Background(), IndexWorkload(w), EstimateOptions{})
-	if err != nil {
-		t.Fatal(err)
+	want := ens.Rooflines["stalls"].Eval(s.Intensity())
+	if len(got.PerMetric) != 1 || !relClose(got.PerMetric[0].MeanEstimate, want) || got.MaxThroughput != got.PerMetric[0].MeanEstimate {
+		t.Fatalf("estimation %+v, want one metric at %g", got, want)
 	}
-	estimationsEquivalent(t, got, want)
+	if got.MeasuredThroughput != 1.5 {
+		t.Errorf("MeasuredThroughput = %g, want 1.5", got.MeasuredThroughput)
+	}
 	if got.PerMetric[0].Samples != 1 {
 		t.Errorf("Samples = %d, want 1", got.PerMetric[0].Samples)
 	}
 }
 
 // TestBatchEstimateAllInfIntensity: a workload whose metric never fires
-// (M = 0 throughout, I = +Inf) estimates at the roofline tail, exactly
-// like the non-indexed path.
+// (M = 0 throughout, I = +Inf) estimates at the roofline tail.
 func TestBatchEstimateAllInfIntensity(t *testing.T) {
 	ens := trainTwoMetric(t)
 	var w Dataset
 	for i := 0; i < 6; i++ {
 		w.Add(Sample{Metric: "stalls", T: 1000, W: 1200 + 10*float64(i), M: 0})
 	}
-	want, err := ens.Estimate(w)
+	got, err := estimate(ens, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ens.BatchEstimate(context.Background(), IndexWorkload(w), EstimateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	estimationsEquivalent(t, got, want)
 	if !math.IsInf(got.PerMetric[0].MeanIntensity, 1) {
 		t.Errorf("MeanIntensity = %g, want +Inf", got.PerMetric[0].MeanIntensity)
 	}
@@ -247,7 +185,7 @@ func TestChainEvalMatchesRooflineEval(t *testing.T) {
 }
 
 // TestConcurrentEstimatorsStress hammers one trained ensemble from 32
-// concurrent estimators mixing BatchEstimate, Estimate and Eval. Run
+// concurrent estimators mixing BatchEstimateInto, estimate and Eval. Run
 // under -race (make race) this proves ensembles are read-safe after
 // training, including the lazy evaluator memoization.
 func TestConcurrentEstimatorsStress(t *testing.T) {
@@ -258,8 +196,8 @@ func TestConcurrentEstimatorsStress(t *testing.T) {
 	ix := IndexWorkload(w)
 	ctx := context.Background()
 
-	ref, err := ens.BatchEstimate(ctx, ix, EstimateOptions{})
-	if err != nil {
+	ref := new(Estimation)
+	if err := ens.BatchEstimateInto(ctx, ix, EstimateOptions{}, ref); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -271,17 +209,17 @@ func TestConcurrentEstimatorsStress(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				switch g % 3 {
 				case 0:
-					got, err := ens.BatchEstimate(ctx, ix, EstimateOptions{})
-					if err != nil {
+					got := new(Estimation)
+					if err := ens.BatchEstimateInto(ctx, ix, EstimateOptions{}, got); err != nil {
 						errs <- err
 						return
 					}
 					if got.MaxThroughput != ref.MaxThroughput {
-						errs <- errors.New("concurrent BatchEstimate diverged")
+						errs <- errors.New("concurrent BatchEstimateInto diverged")
 						return
 					}
 				case 1:
-					if _, err := ens.Estimate(w); err != nil {
+					if _, err := estimate(ens, w); err != nil {
 						errs <- err
 						return
 					}

@@ -55,8 +55,8 @@ type EstimationCI struct {
 func (e *Ensemble) EstimateWithCI(workload Dataset, opts CIOptions) (*EstimationCI, error) {
 	opts.setDefaults()
 	ix := IndexWorkload(workload)
-	base, err := e.BatchEstimate(context.Background(), ix, EstimateOptions{})
-	if err != nil {
+	base := new(Estimation)
+	if err := e.BatchEstimateInto(context.Background(), ix, EstimateOptions{}, base); err != nil {
 		return nil, err
 	}
 	evals := e.evaluators()

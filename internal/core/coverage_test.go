@@ -27,7 +27,7 @@ func TestEstimatePartialCoverageDataOnlyMetric(t *testing.T) {
 	var w Dataset
 	w.Add(mkPlausible("stalls", 8)...)
 	w.Add(mkPlausible("some.unknown.event", 8)...)
-	est, err := ens.Estimate(w)
+	est, err := estimate(ens, w)
 	if err != nil {
 		t.Fatalf("Estimate: %v", err)
 	}
@@ -55,7 +55,7 @@ func TestEstimatePartialCoverageModelOnlyMetrics(t *testing.T) {
 	// comes from that metric alone.
 	var w Dataset
 	w.Add(mkPlausible("misses", 8)...)
-	est, err := ens.Estimate(w)
+	est, err := estimate(ens, w)
 	if err != nil {
 		t.Fatalf("Estimate: %v", err)
 	}
@@ -79,7 +79,7 @@ func TestEstimateNoOverlapReturnsErrNoSamples(t *testing.T) {
 	ens := trainTwoMetric(t)
 	var w Dataset
 	w.Add(mkPlausible("other.event", 4)...)
-	_, err := ens.Estimate(w)
+	_, err := estimate(ens, w)
 	if !errors.Is(err, ErrNoSamples) {
 		t.Errorf("err = %v, want ErrNoSamples", err)
 	}
@@ -89,7 +89,7 @@ func TestEstimateCorruptSamplesDoNotPoison(t *testing.T) {
 	ens := trainTwoMetric(t)
 	var clean Dataset
 	clean.Add(mkPlausible("stalls", 8)...)
-	base, err := ens.Estimate(clean)
+	base, err := estimate(ens, clean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestEstimateCorruptSamplesDoNotPoison(t *testing.T) {
 		Sample{Metric: "stalls", T: -5, W: 1, M: 1},
 		Sample{Metric: "misses", T: 0, W: 0, M: math.Inf(1)},
 	)
-	got, err := ens.Estimate(dirty)
+	got, err := estimate(ens, dirty)
 	if err != nil {
 		t.Fatalf("Estimate with corrupt rows: %v", err)
 	}

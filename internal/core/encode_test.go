@@ -80,11 +80,11 @@ func TestSaveLoadRoundTripStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	estA, err := ens.Estimate(data)
+	estA, err := estimate(ens, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	estB, err := loaded.Estimate(data)
+	estB, err := estimate(loaded, data)
 	if err != nil {
 		t.Fatal(err)
 	}

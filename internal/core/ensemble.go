@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"fmt"
 	"sort"
 	"sync"
 )
@@ -26,7 +24,7 @@ type Ensemble struct {
 	Hierarchy *HierarchyModel `json:"hierarchy,omitempty"`
 
 	// evalOnce/evals lazily memoize the flattened segment tables
-	// BatchEstimate evaluates rooflines through (see batch.go), plus the
+	// BatchEstimateInto evaluates rooflines through (see batch.go), plus the
 	// sorted metric-name list the coverage merge-walk scans and the
 	// surface segment tables for the hierarchy's parameterized ceilings.
 	evalOnce    sync.Once
@@ -108,33 +106,9 @@ type Estimation struct {
 	Combined *CombinedReport `json:"combined,omitempty"`
 }
 
-// Estimate runs the ensemble-level estimation process of paper Fig. 4:
-// group the workload's samples by metric, estimate each sample with its
-// metric's roofline, merge per metric with a time-weighted average, and
-// take the minimum across metrics. ErrNoSamples is returned when no sample
-// matches a modeled metric.
-//
-// Estimate is a convenience shim over the one estimation implementation in
-// this package: it indexes the workload and delegates to BatchEstimate
-// (engine callers index once and reuse). The output is byte-identical to
-// the historical serial implementation; the differential suite in
-// internal/engine pins that equivalence.
-func (e *Ensemble) Estimate(workload Dataset) (*Estimation, error) {
-	return e.BatchEstimate(context.Background(), IndexWorkload(workload), EstimateOptions{})
-}
-
 type measureKey struct {
 	t, w   float64
 	window int
-}
-
-// coverageOf computes the metric overlap between the model and a
-// workload's measured metric set.
-func (e *Ensemble) coverageOf(metrics []string) CoverageReport {
-	e.evaluators() // memoize sortedNames
-	var cov CoverageReport
-	e.coverageInto(metrics, &cov)
-	return cov
 }
 
 // coverageInto writes the metric overlap between the model and a
@@ -189,14 +163,4 @@ func (est *Estimation) Rank(metric string) int {
 		}
 	}
 	return 0
-}
-
-// Estimate1 estimates a single metric's bound for one intensity value; a
-// convenience for exploratory use and plotting.
-func (e *Ensemble) Estimate1(metric string, intensity float64) (float64, error) {
-	ce, ok := e.evaluators()[metric]
-	if !ok {
-		return 0, fmt.Errorf("core: no roofline for metric %q", metric)
-	}
-	return ce.eval(intensity), nil
 }

@@ -69,7 +69,7 @@ func TestEstimateMinOfMeans(t *testing.T) {
 		Sample{Metric: "slow", T: 2, W: 1.6, M: 0.2}, // I = 8
 		Sample{Metric: "fast", T: 2, W: 1.6, M: 0.4}, // I = 4
 	)
-	est, err := e.Estimate(w)
+	est, err := estimate(e, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestEstimateTimeWeighting(t *testing.T) {
 		Sample{Metric: "m", T: 100, W: 100, M: 100}, // I = 1, low estimate
 		Sample{Metric: "m", T: 1, W: 32, M: 1},      // I = 32, high estimate
 	)
-	est, err := e.Estimate(w)
+	est, err := estimate(e, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestEstimateUnknownMetric(t *testing.T) {
 	e := trainTwoMetricEnsemble(t)
 	var w Dataset
 	w.Add(Sample{Metric: "mystery", T: 1, W: 1, M: 1})
-	if _, err := e.Estimate(w); err != ErrNoSamples {
+	if _, err := estimate(e, w); err != ErrNoSamples {
 		t.Errorf("err = %v, want ErrNoSamples", err)
 	}
 }
@@ -141,7 +141,7 @@ func TestEstimateSkipsInvalidSamples(t *testing.T) {
 		Sample{Metric: "slow", T: 0, W: 1, M: 1}, // invalid
 		Sample{Metric: "slow", T: 1, W: 1, M: 1},
 	)
-	est, err := e.Estimate(w)
+	est, err := estimate(e, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestTopMetricsAndRank(t *testing.T) {
 		Sample{Metric: "slow", T: 1, W: 0.8, M: 0.1},
 		Sample{Metric: "fast", T: 1, W: 0.8, M: 0.2},
 	)
-	est, err := e.Estimate(w)
+	est, err := estimate(e, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestEstimateInfIntensityWorkload(t *testing.T) {
 	e := trainTwoMetricEnsemble(t)
 	var w Dataset
 	w.Add(Sample{Metric: "slow", T: 1, W: 1, M: 0}) // I = +Inf
-	est, err := e.Estimate(w)
+	est, err := estimate(e, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,17 +195,15 @@ func TestEstimateInfIntensityWorkload(t *testing.T) {
 	}
 }
 
-func TestEstimate1(t *testing.T) {
+// TestEnsembleRooflineEval: a trained ensemble's rooflines evaluate single
+// intensities directly, and an unmodeled metric has none.
+func TestEnsembleRooflineEval(t *testing.T) {
 	e := trainTwoMetricEnsemble(t)
-	v, err := e.Estimate1("slow", 64)
-	if err != nil {
-		t.Fatal(err)
+	if v := e.Rooflines["slow"].Eval(64); math.Abs(v-1) > 1e-9 {
+		t.Errorf("Rooflines[slow].Eval(64) = %g, want 1", v)
 	}
-	if math.Abs(v-1) > 1e-9 {
-		t.Errorf("Estimate1(slow, 64) = %g, want 1", v)
-	}
-	if _, err := e.Estimate1("nope", 1); err == nil {
-		t.Error("expected error for unknown metric")
+	if r := e.Rooflines["nope"]; r != nil {
+		t.Errorf("Rooflines[nope] = %+v, want none", r)
 	}
 }
 
@@ -309,7 +307,7 @@ func TestMeasuredThroughputCountsDistinctWindows(t *testing.T) {
 		Sample{Metric: "slow", T: 2, W: 1.6, M: 0.3, Window: 2},
 		Sample{Metric: "fast", T: 2, W: 1.6, M: 0.5, Window: 2},
 	)
-	est, err := e.Estimate(w)
+	est, err := estimate(e, w)
 	if err != nil {
 		t.Fatal(err)
 	}

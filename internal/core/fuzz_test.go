@@ -155,7 +155,7 @@ func mergeModel() (*Ensemble, error) {
 
 // FuzzWindowMerge: a sliding IncrementalIndex (add new window, evict the
 // expired one) must estimate byte-identically to a fresh
-// IndexWorkload+BatchEstimate over exactly the in-window samples, for
+// IndexWorkload+BatchEstimateInto over exactly the in-window samples, for
 // arbitrary sample streams and window spans. This is the window-merge
 // correctness gate behind internal/stream: Eq. 1's time-weighted mean
 // over a window must not depend on how the window was assembled.
@@ -203,8 +203,9 @@ func FuzzWindowMerge(f *testing.F) {
 					d.Add(s)
 				}
 			}
-			want, werr := ens.BatchEstimate(ctx, IndexWorkload(d), EstimateOptions{})
-			got, gerr := ens.BatchEstimate(ctx, inc.Snapshot(), EstimateOptions{})
+			want, got := new(Estimation), new(Estimation)
+			werr := ens.BatchEstimateInto(ctx, IndexWorkload(d), EstimateOptions{}, want)
+			gerr := ens.BatchEstimateInto(ctx, inc.Snapshot(), EstimateOptions{}, got)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("window %d span %d: error mismatch: batch=%v inc=%v", cur, w, werr, gerr)
 			}

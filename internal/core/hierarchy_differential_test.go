@@ -77,8 +77,8 @@ func TestSingleLevelHierarchyByteParity(t *testing.T) {
 		w := randWorkload(rng)
 		ix := IndexWorkload(w)
 
-		wantEst, wantErr := flat.Estimate(w)
-		gotEst, gotErr := hier.Estimate(w)
+		wantEst, wantErr := estimate(flat, w)
+		gotEst, gotErr := estimate(hier, w)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("model %d: Estimate error mismatch: %v vs %v", models, gotErr, wantErr)
 		}

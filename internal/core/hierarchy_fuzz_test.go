@@ -132,8 +132,8 @@ func FuzzHierarchyEval(f *testing.F) {
 		w := fuzzWorkload(r)
 		r.byte() // once the worker count; still consumed so corpus entries decode as before
 
-		wantEst, wantErr := flat.Estimate(w)
-		gotEst, gotErr := hier.Estimate(w)
+		wantEst, wantErr := estimate(flat, w)
+		gotEst, gotErr := estimate(hier, w)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("error mismatch: hier %v, flat %v", gotErr, wantErr)
 		}
@@ -286,7 +286,7 @@ func FuzzSurfaceParams(f *testing.F) {
 			})
 		}
 
-		est, err := ens.Estimate(d)
+		est, err := estimate(ens, d)
 		if err != nil {
 			t.Fatalf("estimate errored: %v", err)
 		}
@@ -341,7 +341,7 @@ func FuzzSurfaceParams(f *testing.F) {
 		if back.Hierarchy == nil || len(back.Hierarchy.Surfaces) != len(h.Surfaces) {
 			t.Fatalf("surfaces lost in round trip: %+v", back.Hierarchy)
 		}
-		est2, err := back.Estimate(d)
+		est2, err := estimate(back, d)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -112,7 +112,7 @@ func TestHierarchyBindingLevel(t *testing.T) {
 		{map[string]float64{"L1": 1, "L2": 1, "L3": 1, "DRAM": 1}, "L1"},
 	}
 	for _, c := range cases {
-		est, err := ens.Estimate(levelSamples(c.loads))
+		est, err := estimate(ens, levelSamples(c.loads))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestHierarchySurfaces(t *testing.T) {
 	d.Samples = append(d.Samples, Sample{
 		Metric: surf.Param, T: 1e6, W: 2e6, M: 1e5, // M/W = 0.05
 	})
-	est, err := ens.Estimate(d)
+	est, err := estimate(ens, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestHierarchySurfaces(t *testing.T) {
 	}
 
 	// Without the param metric the surface is skipped entirely.
-	est2, err := ens.Estimate(levelSamples(map[string]float64{"L1": 1e5, "L2": 100}))
+	est2, err := estimate(ens, levelSamples(map[string]float64{"L1": 1e5, "L2": 100}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +212,14 @@ func TestHierarchyDegenerateIsFlat(t *testing.T) {
 	flat.Hierarchy = nil
 
 	single := levelSamples(map[string]float64{"L2": 5e5})
-	hEst, err := hier.Estimate(single)
+	hEst, err := estimate(hier, single)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hEst.Hierarchy != nil {
 		t.Fatalf("single-level workload grew a hierarchy: %+v", hEst.Hierarchy)
 	}
-	fEst, err := flat.Estimate(single)
+	fEst, err := estimate(flat, single)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestHierarchyEncodeRoundTrip(t *testing.T) {
 	ens := hierEnsemble(t, surf)
 	d := levelSamples(map[string]float64{"L1": 1e6, "L2": 4e5})
 	d.Samples = append(d.Samples, Sample{Metric: "p", T: 1e6, W: 2e6, M: 1e5})
-	est, err := ens.Estimate(d)
+	est, err := estimate(ens, d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,8 +155,8 @@ func TestIncrementalIndexSnapshotImmutable(t *testing.T) {
 	inc := NewIncrementalIndex()
 	inc.Add(d.Samples...)
 	snap := inc.Snapshot()
-	baseline, err := ens.BatchEstimate(ctx, snap, EstimateOptions{})
-	if err != nil {
+	baseline := new(Estimation)
+	if err := ens.BatchEstimateInto(ctx, snap, EstimateOptions{}, baseline); err != nil {
 		t.Fatal(err)
 	}
 	want, err := json.Marshal(baseline)
@@ -170,8 +170,8 @@ func TestIncrementalIndexSnapshotImmutable(t *testing.T) {
 		}
 		inc.Add(more.Samples...)
 		inc.EvictBefore(w - 2)
-		est, err := ens.BatchEstimate(ctx, snap, EstimateOptions{})
-		if err != nil {
+		est := new(Estimation)
+		if err := ens.BatchEstimateInto(ctx, snap, EstimateOptions{}, est); err != nil {
 			t.Fatal(err)
 		}
 		got, err := json.Marshal(est)

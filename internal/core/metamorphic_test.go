@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -56,12 +55,11 @@ func metamorphicCase(t *testing.T, seed int64) (*Ensemble, Dataset) {
 // estimatePair estimates the original and the transformed workload.
 func estimatePair(t *testing.T, ens, ens2 *Ensemble, d, d2 Dataset) (*Estimation, *Estimation) {
 	t.Helper()
-	ctx := context.Background()
-	a, err := ens.BatchEstimate(ctx, IndexWorkload(d), EstimateOptions{})
+	a, err := estimate(ens, d)
 	if err != nil {
 		t.Fatalf("original: %v", err)
 	}
-	b, err := ens2.BatchEstimate(ctx, IndexWorkload(d2), EstimateOptions{})
+	b, err := estimate(ens2, d2)
 	if err != nil {
 		t.Fatalf("transformed: %v", err)
 	}

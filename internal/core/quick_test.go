@@ -192,7 +192,7 @@ func TestQuickEnsembleMinProperty(t *testing.T) {
 		}
 		var w Dataset
 		w.Add(wl...)
-		est, err := ens.Estimate(w)
+		est, err := estimate(ens, w)
 		if err != nil {
 			return true
 		}

@@ -26,14 +26,15 @@ func checkColumnarIdentical(t *testing.T, e *Engine, ens *core.Ensemble, d core.
 	want, werr := referenceEstimate(ens, d)
 	ix := core.IndexWorkload(d)
 
-	// Batch path.
-	got, gerr := ens.BatchEstimate(context.Background(), ix, core.EstimateOptions{})
+	// Batch path, into a fresh Estimation.
+	got := new(core.Estimation)
+	gerr := ens.BatchEstimateInto(context.Background(), ix, core.EstimateOptions{}, got)
 	if (werr != nil) != (gerr != nil) {
 		t.Fatalf("%s: reference err=%v, batch err=%v", tag, werr, gerr)
 	}
 	if werr == nil {
 		if gotJSON, wantJSON := estJSON(t, got), estJSON(t, want); gotJSON != wantJSON {
-			t.Fatalf("%s: BatchEstimate diverges\ngot:  %s\nwant: %s", tag, gotJSON, wantJSON)
+			t.Fatalf("%s: BatchEstimateInto (fresh) diverges\ngot:  %s\nwant: %s", tag, gotJSON, wantJSON)
 		}
 	}
 
@@ -76,7 +77,8 @@ func checkColumnarIdentical(t *testing.T, e *Engine, ens *core.Ensemble, d core.
 		inc.Add(d.Samples[off : off+n]...)
 		off += n
 	}
-	sgot, serr := ens.BatchEstimate(context.Background(), inc.Snapshot(), core.EstimateOptions{})
+	sgot := new(core.Estimation)
+	serr := ens.BatchEstimateInto(context.Background(), inc.Snapshot(), core.EstimateOptions{}, sgot)
 	if (werr != nil) != (serr != nil) {
 		t.Fatalf("%s: reference err=%v, snapshot err=%v", tag, werr, serr)
 	}
@@ -132,7 +134,8 @@ func checkWindowedIdentical(t *testing.T, ens *core.Ensemble, d core.Dataset, ta
 			}
 		}
 		want, werr := referenceEstimate(ens, wd)
-		got, gerr := ens.BatchEstimate(context.Background(), inc.Snapshot(), core.EstimateOptions{})
+		got := new(core.Estimation)
+		gerr := ens.BatchEstimateInto(context.Background(), inc.Snapshot(), core.EstimateOptions{}, got)
 		if (werr != nil) != (gerr != nil) {
 			t.Fatalf("%s w=%d: reference err=%v, evicted snapshot err=%v", tag, w, werr, gerr)
 		}

@@ -3,11 +3,10 @@ package engine
 // Differential suite for the unified estimation engine: the pre-refactor
 // serial implementation of the paper's Eq. 1 merge (the loop that lived
 // in core's Ensemble.Estimate before internal/engine existed) is kept
-// here, verbatim, as the reference. Both the public shim
-// (core.Ensemble.Estimate) and Engine.Estimate must produce byte-identical
-// JSON against it — across the golden model under internal/core/testdata
-// and thousands of randomized model/workload pairs in the style of core's
-// oracle-driven fitting suite. Any divergence is a regression in the
+// here, verbatim, as the reference. Engine.Estimate must produce
+// byte-identical JSON against it — across the golden model under
+// internal/core/testdata and thousands of randomized model/workload pairs
+// in the style of core's oracle-driven fitting suite. Any divergence is a regression in the
 // unified path.
 
 import (
@@ -154,16 +153,12 @@ func estJSON(t *testing.T, est *core.Estimation) string {
 	return string(raw)
 }
 
-// checkByteIdentical pins the shim and the engine against the reference
-// on one model/workload pair.
+// checkByteIdentical pins the engine against the reference on one
+// model/workload pair.
 func checkByteIdentical(t *testing.T, e *Engine, ens *core.Ensemble, d core.Dataset, tag string) {
 	t.Helper()
 	want, werr := referenceEstimate(ens, d)
-	shim, serr := ens.Estimate(d)
-	if (werr != nil) != (serr != nil) {
-		t.Fatalf("%s: reference err=%v, shim err=%v", tag, werr, serr)
-	}
-	got, gerr := e.Estimate(context.Background(), ens, d, core.EstimateOptions{})
+	got, gerr := e.Estimate(context.Background(), ens, d)
 	if (werr != nil) != (gerr != nil) {
 		t.Fatalf("%s: reference err=%v, engine err=%v", tag, werr, gerr)
 	}
@@ -174,10 +169,6 @@ func checkByteIdentical(t *testing.T, e *Engine, ens *core.Ensemble, d core.Data
 	if gotJSON := estJSON(t, got); gotJSON != wantJSON {
 		t.Fatalf("%s: engine diverges from pre-refactor serial output\ngot:  %s\nwant: %s",
 			tag, gotJSON, wantJSON)
-	}
-	if shimJSON := estJSON(t, shim); shimJSON != wantJSON {
-		t.Fatalf("%s: Ensemble.Estimate shim diverges from pre-refactor serial output\ngot:  %s\nwant: %s",
-			tag, shimJSON, wantJSON)
 	}
 }
 

@@ -15,11 +15,14 @@
 //   - optional internal/metrics instrumentation: estimates served,
 //     estimation latency, samples evaluated, index-cache hits/misses.
 //
+// Estimate (a dataset) and EstimateIndexed (a pre-built index) are the
+// package's two ways in; both run core's one estimation implementation,
+// Ensemble.BatchEstimateInto, into a fresh Estimation the caller owns.
 // Estimation runs serially on the caller's goroutine: an Engine starts no
 // goroutines of its own, so dropping one leaks nothing. Results are
-// byte-identical to core's historical serial Estimate for every cache
+// byte-identical to the historical serial Eq. 1 loop for every cache
 // state; the differential suite in this package pins that equivalence
-// against the pre-refactor implementation.
+// against a verbatim copy of it.
 package engine
 
 import (
@@ -123,25 +126,29 @@ func (e *Engine) IndexKeyed(key string, samples []core.Sample) (*core.WorkloadIn
 // Estimate runs the Eq. 1 estimation of workload against ens: index
 // (cache-memoized), evaluate every shared metric on the caller's
 // goroutine, merge deterministically. Identical inputs produce identical
-// outputs for any cache state. opts has no effect.
-func (e *Engine) Estimate(ctx context.Context, ens *core.Ensemble, workload core.Dataset, opts core.EstimateOptions) (*core.Estimation, error) {
+// outputs for any cache state.
+func (e *Engine) Estimate(ctx context.Context, ens *core.Ensemble, workload core.Dataset) (*core.Estimation, error) {
 	ix, _ := e.Index(workload.Samples)
-	return e.EstimateIndexed(ctx, ens, ix, opts)
+	return e.EstimateIndexed(ctx, ens, ix, core.EstimateOptions{})
 }
 
 // EstimateIndexed is Estimate for callers that already hold an index —
 // the serve handler (which needs the cache-hit flag for its response
 // headers) and the streaming tier (whose sliding-window snapshots come
 // from the same core.IncrementalIndex builder as Index's batch indexes).
+// Each call returns a fresh Estimation that the caller owns. opts has no
+// effect.
 func (e *Engine) EstimateIndexed(ctx context.Context, ens *core.Ensemble, ix *core.WorkloadIndex, opts core.EstimateOptions) (*core.Estimation, error) {
 	start := time.Now()
-	est, err := ens.BatchEstimate(ctx, ix, opts)
+	est := new(core.Estimation)
+	err := ens.BatchEstimateInto(ctx, ix, opts, est)
 	e.mLatency.Observe(time.Since(start).Seconds())
-	if err == nil {
-		e.mEstimates.Inc()
-		e.mSamples.Add(float64(ix.Len()))
+	if err != nil {
+		return nil, err
 	}
-	return est, err
+	e.mEstimates.Inc()
+	e.mSamples.Add(float64(ix.Len()))
+	return est, nil
 }
 
 // CacheLen reports how many workload indexes are currently cached.

@@ -59,16 +59,87 @@ func testWorkload(seed int64, n int) core.Dataset {
 func TestEstimateMatchesCore(t *testing.T) {
 	ens := testModel(t)
 	d := testWorkload(1, 40)
-	want, err := ens.Estimate(d)
-	if err != nil {
+	want := new(core.Estimation)
+	if err := ens.BatchEstimateInto(context.Background(), core.IndexWorkload(d), core.EstimateOptions{}, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := New(Options{}).Estimate(context.Background(), ens, d, core.EstimateOptions{})
+	got, err := New(Options{}).Estimate(context.Background(), ens, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("engine estimate diverges from core")
+	}
+}
+
+// TestEstimateResultsOwned: repeated estimates of one workload, through
+// EstimateIndexed and Estimate, each return a distinct Estimation that
+// the caller owns. Mangling one result the way serve's handler does —
+// truncating PerMetric for top, setting Combined — and scribbling over
+// its slices' backing arrays leaves every later result, and a result
+// held untouched since the first call, byte-identical to the first.
+func TestEstimateResultsOwned(t *testing.T) {
+	ens := testModel(t)
+	d := testWorkload(1, 40)
+	e := New(Options{})
+	ctx := context.Background()
+	ix, _ := e.Index(d.Samples)
+	for _, c := range []struct {
+		name string
+		call func() (*core.Estimation, error)
+	}{
+		{"EstimateIndexed", func() (*core.Estimation, error) {
+			return e.EstimateIndexed(ctx, ens, ix, core.EstimateOptions{})
+		}},
+		{"Estimate", func() (*core.Estimation, error) { return e.Estimate(ctx, ens, d) }},
+	} {
+		first, err := c.call()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept, err := c.call()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(first.PerMetric) < 2 {
+			t.Fatalf("%s: %d metrics, want >= 2 so truncation shows", c.name, len(first.PerMetric))
+		}
+		seen := map[*core.Estimation]bool{kept: true}
+		prev := first
+		for i := 0; i < 4; i++ {
+			seen[prev] = true
+			full := prev.PerMetric[:cap(prev.PerMetric)]
+			prev.PerMetric = prev.PerMetric[:1]
+			prev.Combined = &core.CombinedReport{Knot: true}
+			for j := range full {
+				full[j] = core.MetricEstimate{Metric: "scribbled", MeanEstimate: -1}
+			}
+			clear(prev.Coverage.DataOnly[:cap(prev.Coverage.DataOnly)])
+			clear(prev.Coverage.ModelOnly[:cap(prev.Coverage.ModelOnly)])
+			if raw, _ := json.Marshal(kept); string(raw) != string(want) {
+				t.Fatalf("%s call %d: mangling a later result changed an untouched one\ngot:  %s\nwant: %s", c.name, i+1, raw, want)
+			}
+
+			got, err := c.call()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seen[got] {
+				t.Fatalf("%s call %d: returned an Estimation already handed out", c.name, i+2)
+			}
+			raw, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(raw) != string(want) {
+				t.Fatalf("%s call %d: result changed after the previous one was mangled\ngot:  %s\nwant: %s", c.name, i+2, raw, want)
+			}
+			prev = got
+		}
 	}
 }
 
@@ -151,7 +222,7 @@ func TestEstimateCancellation(t *testing.T) {
 	e := New(Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.Estimate(ctx, ens, d, core.EstimateOptions{}); err != context.Canceled {
+	if _, err := e.Estimate(ctx, ens, d); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -160,11 +231,11 @@ func TestEstimateNoSamples(t *testing.T) {
 	ens := testModel(t)
 	e := New(Options{})
 	var empty core.Dataset
-	if _, err := e.Estimate(context.Background(), ens, empty, core.EstimateOptions{}); err != core.ErrNoSamples {
+	if _, err := e.Estimate(context.Background(), ens, empty); err != core.ErrNoSamples {
 		t.Fatalf("err = %v, want ErrNoSamples", err)
 	}
 	unmodeled := core.Dataset{Samples: []core.Sample{{Metric: "zzz", T: 1, W: 1, M: 1}}}
-	if _, err := e.Estimate(context.Background(), ens, unmodeled, core.EstimateOptions{}); err != core.ErrNoSamples {
+	if _, err := e.Estimate(context.Background(), ens, unmodeled); err != core.ErrNoSamples {
 		t.Fatalf("err = %v, want ErrNoSamples", err)
 	}
 }
@@ -175,7 +246,7 @@ func TestConcurrentEstimates(t *testing.T) {
 	ens := testModel(t)
 	d := testWorkload(6, 30)
 	e := New(Options{})
-	want, err := e.Estimate(context.Background(), ens, d, core.EstimateOptions{})
+	want, err := e.Estimate(context.Background(), ens, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +258,7 @@ func TestConcurrentEstimates(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				got, err := e.Estimate(context.Background(), ens, d, core.EstimateOptions{})
+				got, err := e.Estimate(context.Background(), ens, d)
 				if err != nil {
 					errs <- err
 					return
@@ -218,10 +289,10 @@ func TestEngineMetrics(t *testing.T) {
 	e := New(Options{Metrics: reg})
 	ens := testModel(t)
 	d := testWorkload(7, 10)
-	if _, err := e.Estimate(context.Background(), ens, d, core.EstimateOptions{}); err != nil {
+	if _, err := e.Estimate(context.Background(), ens, d); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Estimate(context.Background(), ens, d, core.EstimateOptions{}); err != nil {
+	if _, err := e.Estimate(context.Background(), ens, d); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("spire_engine_estimates_total", "").Value(); got != 2 {

@@ -13,5 +13,5 @@ import (
 // off here: ablations re-estimate the same workload datasets against many
 // model variants, and the engine rebuilds each index only once.
 func estimate(ens *core.Ensemble, d core.Dataset) (*core.Estimation, error) {
-	return engine.Default().Estimate(context.Background(), ens, d, core.EstimateOptions{})
+	return engine.Default().Estimate(context.Background(), ens, d)
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"spire/internal/core"
 	"spire/internal/pmu"
 	"spire/internal/report"
 	"spire/internal/sim"
@@ -311,16 +310,4 @@ func (s *Session) Accuracy() ([]EstimationAccuracy, error) {
 		})
 	}
 	return out, nil
-}
-
-// Ensemble re-exported helpers for tooling.
-
-// AnalyzeDataset estimates an arbitrary dataset against the session's
-// trained ensemble.
-func (s *Session) AnalyzeDataset(d core.Dataset) (*core.Estimation, error) {
-	ens, err := s.Ensemble()
-	if err != nil {
-		return nil, err
-	}
-	return estimate(ens, d)
 }

@@ -35,7 +35,7 @@ var (
 // production frontend uses, so fault tolerance is asserted against the
 // real estimation stack.
 func estimate(ens *core.Ensemble, d core.Dataset) (*core.Estimation, error) {
-	return engine.Default().Estimate(context.Background(), ens, d, core.EstimateOptions{})
+	return engine.Default().Estimate(context.Background(), ens, d)
 }
 
 func collect(name string) (core.Dataset, error) {

@@ -24,12 +24,6 @@ type Point struct {
 // String renders the point compactly for diagnostics.
 func (p Point) String() string { return fmt.Sprintf("(%g, %g)", p.X, p.Y) }
 
-// IsFinite reports whether both coordinates are finite (not NaN or ±Inf).
-func (p Point) IsFinite() bool {
-	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) &&
-		!math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
-}
-
 // Valid reports whether the point can participate in roofline fitting:
 // finite non-negative throughput and non-negative (possibly +Inf)
 // intensity.

@@ -168,7 +168,7 @@ func (s Stats) SevereDiags() int {
 // Result is a completed ingestion.
 type Result struct {
 	// Dataset holds the surviving samples, ready for core.Train or
-	// Ensemble.Estimate.
+	// engine.Estimate.
 	Dataset core.Dataset
 	// Validation is the core-layer quarantine report over the assembled
 	// samples.

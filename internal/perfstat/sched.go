@@ -1,11 +1,8 @@
 package perfstat
 
 import (
-	"errors"
-
 	"spire/internal/core"
 	"spire/internal/pmu"
-	"spire/internal/sim"
 )
 
 // Scheduler-event collection. Counter samples are multiplexed and
@@ -39,29 +36,4 @@ func ConvertSched(events []pmu.SchedEvent, intervalCycles uint64) []core.SchedEv
 		})
 	}
 	return out
-}
-
-// CollectMT runs the multi-hart scheduler simulation to completion (or
-// maxCycles) and returns a dataset carrying its scheduler events plus
-// the run result. The dataset has no counter samples: scheduler-level
-// simulation does not model per-metric counters, and datasets merge, so
-// callers combine it with a counter dataset when they want both halves.
-func CollectMT(m *sim.MTSim, maxCycles, intervalCycles uint64) (core.Dataset, sim.MTResult, error) {
-	res, err := m.Run(maxCycles)
-	if err != nil {
-		return core.Dataset{}, res, err
-	}
-	if len(res.Events) == 0 {
-		return core.Dataset{}, res, errors.New("perfstat: run emitted no scheduler events")
-	}
-	var ds core.Dataset
-	ds.AddSched(ConvertSched(res.Events, intervalCycles)...)
-	return ds, res, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

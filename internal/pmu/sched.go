@@ -66,13 +66,6 @@ func LookupSchedClass(name string) (SchedClass, bool) {
 	return 0, false
 }
 
-// SchedClassNames returns all known class names in class order.
-func SchedClassNames() []string {
-	out := make([]string, NumSchedClasses)
-	copy(out, schedClassNames[:])
-	return out
-}
-
 // SchedEvent is one scheduler event as recorded by the simulator.
 // Cycle is the simulation time; Thread and Hart identify who and where;
 // Obj names the lock or device for block/unblock classes; Waker is the

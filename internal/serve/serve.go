@@ -1,7 +1,7 @@
 // Package serve is SPIRE's long-running estimation service: the trained
 // ensemble behind an HTTP JSON API. It wires the hardened ingestion
 // pipeline (internal/ingest) and the batch estimator
-// (core.IndexWorkload / BatchEstimate) behind a versioned, atomically
+// (core.IndexWorkload / BatchEstimateInto) behind a versioned, atomically
 // hot-swappable model registry, a bounded LRU of content-addressed
 // workload indexes, and built-in Prometheus-format observability
 // (internal/metrics). Every handler enforces a max body size and the

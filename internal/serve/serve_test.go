@@ -73,7 +73,7 @@ func TestEstimateNoModel(t *testing.T) {
 }
 
 // TestEstimateParityAndCache: the endpoint must agree exactly with a
-// direct BatchEstimate, repeated identical requests must be byte-stable
+// direct BatchEstimateInto, repeated identical requests must be byte-stable
 // and served from the index cache.
 func TestEstimateParityAndCache(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
@@ -83,9 +83,9 @@ func TestEstimateParityAndCache(t *testing.T) {
 	}
 
 	samples := testutil.Samples()
-	want, err := ens.BatchEstimate(context.Background(),
-		core.IndexWorkload(core.Dataset{Samples: samples}), core.EstimateOptions{})
-	if err != nil {
+	want := new(core.Estimation)
+	if err := ens.BatchEstimateInto(context.Background(),
+		core.IndexWorkload(core.Dataset{Samples: samples}), core.EstimateOptions{}, want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -104,7 +104,7 @@ func TestEstimateParityAndCache(t *testing.T) {
 	wantJSON, _ := json.Marshal(want)
 	gotJSON, _ := json.Marshal(er.Estimation)
 	if !bytes.Equal(wantJSON, gotJSON) {
-		t.Errorf("served estimation differs from direct BatchEstimate:\n%s\nvs\n%s", gotJSON, wantJSON)
+		t.Errorf("served estimation differs from direct BatchEstimateInto:\n%s\nvs\n%s", gotJSON, wantJSON)
 	}
 	if er.Model == "" {
 		t.Error("response missing model ID")

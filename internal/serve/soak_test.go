@@ -64,8 +64,8 @@ func TestSoakConcurrentEstimateHotSwap(t *testing.T) {
 	ix := core.IndexWorkload(core.Dataset{Samples: samples})
 	expected := make(map[string][]byte, 2)
 	for id, ens := range map[string]*core.Ensemble{idA: ensA, idB: ensB} {
-		est, err := ens.BatchEstimate(context.Background(), ix, core.EstimateOptions{})
-		if err != nil {
+		est := new(core.Estimation)
+		if err := ens.BatchEstimateInto(context.Background(), ix, core.EstimateOptions{}, est); err != nil {
 			t.Fatal(err)
 		}
 		raw, err := json.Marshal(est)

@@ -75,13 +75,15 @@ func TestSoakStreamHotSwap(t *testing.T) {
 		byK := make([][]byte, windowSpan+1)
 		for k := 1; k <= windowSpan; k++ {
 			ix := core.IndexWorkload(soakWindowDataset(k))
-			est, err := ens.BatchEstimate(context.Background(), ix, core.EstimateOptions{})
+			est := new(core.Estimation)
+			if err := ens.BatchEstimateInto(context.Background(), ix, core.EstimateOptions{}, est); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := json.Marshal(est)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if byK[k], err = json.Marshal(est); err != nil {
-				t.Fatal(err)
-			}
+			byK[k] = raw
 		}
 		expected[id] = byK
 	}

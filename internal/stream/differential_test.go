@@ -2,7 +2,7 @@ package stream
 
 // Differential suite: every window the streaming path emits must be
 // byte-identical (as JSON) to a from-scratch batch estimation —
-// IndexWorkload + BatchEstimate — over exactly the in-window samples.
+// IndexWorkload + BatchEstimateInto — over exactly the in-window samples.
 // Any divergence means the incremental index, the eviction logic or the
 // window bookkeeping changed the arithmetic of paper Eq. 1.
 
@@ -109,7 +109,8 @@ func TestDifferentialStreamingMatchesBatch(t *testing.T) {
 					d.Add(p.Samples...)
 				}
 			}
-			want, werr := ens.BatchEstimate(ctx, core.IndexWorkload(d), core.EstimateOptions{})
+			want := new(core.Estimation)
+			werr := ens.BatchEstimateInto(ctx, core.IndexWorkload(d), core.EstimateOptions{}, want)
 			if werr != nil {
 				if got.Estimation != nil || got.Error != "no sample matches a modeled metric" {
 					t.Fatalf("stream %d window %d: batch says %v, stream says %+v", si, i, werr, got)
@@ -219,7 +220,8 @@ func TestDifferentialPipelineCSV(t *testing.T) {
 				res.Intervals != count || res.Model != "csv-model" {
 				t.Fatalf("stream %d result %d: bookkeeping off: %+v", si, i, res)
 			}
-			want, werr := ens.BatchEstimate(ctx, core.IndexWorkload(d), core.EstimateOptions{})
+			want := new(core.Estimation)
+			werr := ens.BatchEstimateInto(ctx, core.IndexWorkload(d), core.EstimateOptions{}, want)
 			if werr != nil {
 				if res.Error != "no sample matches a modeled metric" {
 					t.Fatalf("stream %d result %d: batch says %v, stream says %+v", si, i, werr, res)

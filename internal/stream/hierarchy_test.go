@@ -88,7 +88,8 @@ func TestStreamHierarchyMatchesBatch(t *testing.T) {
 					d.Add(p.Samples...)
 				}
 			}
-			want, werr := ens.BatchEstimate(ctx, core.IndexWorkload(d), core.EstimateOptions{})
+			want := new(core.Estimation)
+			werr := ens.BatchEstimateInto(ctx, core.IndexWorkload(d), core.EstimateOptions{}, want)
 			if werr != nil {
 				if got.Estimation != nil {
 					t.Fatalf("stream %d window %d: batch says %v, stream emitted %+v", si, i, werr, got)

@@ -48,9 +48,6 @@ func NewWindower(span int) *Windower {
 	return &Windower{span: span, idx: core.NewIncrementalIndex()}
 }
 
-// Span returns the configured window span in intervals.
-func (w *Windower) Span() int { return w.span }
-
 // Push slides the window forward by one interval and returns the
 // resulting window. The interval's Window tags must be nondecreasing
 // across pushes, which ingestion guarantees.

@@ -56,18 +56,6 @@ func TrainModel(t testing.TB, scale float64) (*core.Ensemble, []byte) {
 	return ens, buf.Bytes()
 }
 
-// WriteModel persists TrainModel(scale)'s canonical encoding under dir
-// and returns the file path.
-func WriteModel(t testing.TB, dir string, scale float64) string {
-	t.Helper()
-	_, raw := TrainModel(t, scale)
-	path := filepath.Join(dir, "model.json")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
 // Samples is a small workload overlapping the TrainModel metrics,
 // including an unknown metric and an invalid sample that indexing drops.
 func Samples() []core.Sample {

@@ -1,10 +1,12 @@
 package tma
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"spire/internal/core"
+	"spire/internal/engine"
 	"spire/internal/pmu"
 )
 
@@ -118,7 +120,7 @@ func TestCrossCheckRandomizedAgreement(t *testing.T) {
 		dominant := names[rng.Intn(len(names))]
 		memBound := rng.Float64() > 0.1
 		data, counts := syntheticRun(rng, ens, dominant, memBound)
-		est, err := ens.Estimate(data)
+		est, err := engine.Default().Estimate(context.Background(), ens, data)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -156,7 +158,7 @@ func TestCrossCheckPlantedLevels(t *testing.T) {
 	for _, dominant := range []string{"L1", "L2", "L3", "DRAM"} {
 		rng := rand.New(rand.NewSource(7))
 		data, counts := syntheticRun(rng, ens, dominant, true)
-		est, err := ens.Estimate(data)
+		est, err := engine.Default().Estimate(context.Background(), ens, data)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -66,13 +66,6 @@ func ScanEstimateBody(body []byte) (*EstimateRequest, error) {
 	return req, nil
 }
 
-// ScanEstimateJSON is ScanEstimateBody reporting only whether it decoded
-// body.
-func ScanEstimateJSON(body []byte) (*EstimateRequest, bool) {
-	req, err := ScanEstimateBody(body)
-	return req, err == nil
-}
-
 // UnmarshalJSON decodes a request with ScanEstimateBody's scanner. A body
 // it does not decode, or a non-zero receiver, is decoded by reflection
 // into a method-free type of the same name, so results and error texts are

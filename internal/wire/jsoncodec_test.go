@@ -436,7 +436,7 @@ func plainJSON(s string) bool {
 // marshalScans holds the direct scan to the shape it is for: json.Marshal
 // of a request built from fuzz inputs — every field set, fractional,
 // exponent and negative floats, scheduler events — is taken by
-// ScanEstimateJSON and decoded to the request itself, bit for bit,
+// ScanEstimateBody and decoded to the request itself, bit for bit,
 // whenever the floats are finite and the strings plain (plainJSON), into
 // slices of exactly their length. A wrong refusal would still decode,
 // through reflection, and a wrong count only wastes memory, so no result
@@ -459,15 +459,15 @@ func marshalScans(t *testing.T, s1, s2 string, f1, f2, f3 float64, shape uint16)
 	if err != nil || !plainJSON(s1) || !plainJSON(s2) {
 		return
 	}
-	got, ok := ScanEstimateJSON(body)
-	if !ok {
-		t.Fatalf("ScanEstimateJSON refused json.Marshal's %q", body)
+	got, err := ScanEstimateBody(body)
+	if err != nil {
+		t.Fatalf("ScanEstimateBody refused json.Marshal's %q: %v", body, err)
 	}
 	if !sameRequest(got, req) {
-		t.Fatalf("ScanEstimateJSON decoded %q to\n %+v\nnot\n %+v", body, got, req)
+		t.Fatalf("ScanEstimateBody decoded %q to\n %+v\nnot\n %+v", body, got, req)
 	}
 	if cap(got.Samples) != len(got.Samples) || cap(got.Sched) != len(got.Sched) {
-		t.Fatalf("ScanEstimateJSON sized the slices of %q at %d and %d for %d samples and %d events",
+		t.Fatalf("ScanEstimateBody sized the slices of %q at %d and %d for %d samples and %d events",
 			body, cap(got.Samples), cap(got.Sched), len(got.Samples), len(got.Sched))
 	}
 }
@@ -613,14 +613,14 @@ func scanSeeds() [][]byte {
 func TestScanNumbersMatchStrconv(t *testing.T) {
 	for _, lit := range numberLiterals {
 		want, ferr := strconv.ParseFloat(lit, 64)
-		req, ok := ScanEstimateJSON([]byte(`{"samples":[{"metric":"m","t":` + lit + `,"w":2,"m":3}]}`))
-		if ok != (ferr == nil) || ok && math.Float64bits(req.Samples[0].T) != math.Float64bits(want) {
-			t.Errorf("float %s: scan accepted %v (%+v), strconv gave %v, %v", lit, ok, req, want, ferr)
+		req, err := ScanEstimateBody([]byte(`{"samples":[{"metric":"m","t":` + lit + `,"w":2,"m":3}]}`))
+		if (err == nil) != (ferr == nil) || err == nil && math.Float64bits(req.Samples[0].T) != math.Float64bits(want) {
+			t.Errorf("float %s: scan gave %+v, %v; strconv gave %v, %v", lit, req, err, want, ferr)
 		}
 		n, ierr := strconv.ParseInt(lit, 10, strconv.IntSize)
-		req, ok = ScanEstimateJSON([]byte(`{"samples":[{"metric":"m","t":1,"w":2,"m":3,"window":` + lit + `}]}`))
-		if ok != (ierr == nil) || ok && req.Samples[0].Window != int(n) {
-			t.Errorf("int %s: scan accepted %v (%+v), strconv gave %d, %v", lit, ok, req, n, ierr)
+		req, err = ScanEstimateBody([]byte(`{"samples":[{"metric":"m","t":1,"w":2,"m":3,"window":` + lit + `}]}`))
+		if (err == nil) != (ierr == nil) || err == nil && req.Samples[0].Window != int(n) {
+			t.Errorf("int %s: scan gave %+v, %v; strconv gave %d, %v", lit, req, err, n, ierr)
 		}
 	}
 }
@@ -682,19 +682,19 @@ func TestScanEstimateJSONGrammar(t *testing.T) {
 		"1e": false, "1e+": false, "00": false, "-.5": false, "1.e5": false,
 		"-0": true, "1E5": true, "0.5e-3": true, "1E+05": true, "-0.0": true, "50000": true,
 	} {
-		if _, ok := ScanEstimateJSON(body(num, "m")); ok != want {
-			t.Errorf("number %q: scan accepted %v, want %v", num, ok, want)
+		if _, err := ScanEstimateBody(body(num, "m")); (err == nil) != want {
+			t.Errorf("number %q: scan error %v, want accepted %v", num, err, want)
 		}
 	}
 	for metric, want := range map[string]bool{"a\x01b": false, "a\tb": false, "\x1f": false, "a\x7fb": true, "é": true} {
-		if _, ok := ScanEstimateJSON(body("1", metric)); ok != want {
-			t.Errorf("metric %q: scan accepted %v, want %v", metric, ok, want)
+		if _, err := ScanEstimateBody(body("1", metric)); (err == nil) != want {
+			t.Errorf("metric %q: scan error %v, want accepted %v", metric, err, want)
 		}
 	}
-	if _, ok := ScanEstimateJSON([]byte(`{"samples":[{"metric":"m","t":1,"w":2,"m":3,"window":1.0}]}`)); ok {
+	if _, err := ScanEstimateBody([]byte(`{"samples":[{"metric":"m","t":1,"w":2,"m":3,"window":1.0}]}`)); err == nil {
 		t.Error(`scan accepted "window":1.0`)
 	}
-	if _, ok := ScanEstimateJSON([]byte(`{"samples":[{"metric":"` + strings.Repeat("m", math.MaxUint16+1) + `","t":1,"w":2,"m":3}]}`)); ok {
+	if _, err := ScanEstimateBody([]byte(`{"samples":[{"metric":"` + strings.Repeat("m", math.MaxUint16+1) + `","t":1,"w":2,"m":3}]}`)); err == nil {
 		t.Error("scan accepted a metric over the SPB1 string limit")
 	}
 }

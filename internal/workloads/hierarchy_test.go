@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -11,6 +12,7 @@ import (
 
 	"spire/internal/calibrate"
 	"spire/internal/core"
+	"spire/internal/engine"
 	"spire/internal/pmu"
 	"spire/internal/sim"
 	"spire/internal/tma"
@@ -121,7 +123,7 @@ func TestHierarchyGolden(t *testing.T) {
 
 	for _, hs := range Hierarchy() {
 		data, counts := runHierarchySpec(t, ens, hs)
-		est, err := ens.Estimate(data)
+		est, err := engine.Default().Estimate(context.Background(), ens, data)
 		if err != nil {
 			t.Fatalf("%s: %v", hs.Name, err)
 		}
